@@ -8,7 +8,7 @@ generator, and a benchmark protocol, all exposed both as a library and
 through the ``gpde`` command-line tool.
 """
 
-from .adaptation import AdaptedExpert, ConditionedPrior, adapted_posterior, conditional_prior
+from .adaptation import AdaptedExpert, adapted_posterior
 from .bench import BenchmarkResult, BenchmarkSpec, BenchRow, run_benchmark, write_result_table
 from .data import (
     PcaProjector,
@@ -71,7 +71,7 @@ __all__ = [
     "log_marginal_likelihood", "default_init", "fit", "fit_detailed",
     "train_expert", "posterior",
     # adaptation
-    "ConditionedPrior", "AdaptedExpert", "conditional_prior", "adapted_posterior",
+    "AdaptedExpert", "adapted_posterior",
     # experts / fusion
     "GpdeModel", "FusedPrediction", "uniform_betas", "fuse", "hard_labels",
     "train_source_experts", "train_target_expert", "train_gpde", "retarget",

@@ -18,51 +18,15 @@ The correction only ever shrinks the predictive variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .exceptions import InvalidInputError
-from .gp_core import Dataset, Expert, PosteriorPrediction, cholesky_with_jitter, posterior
+from .gp_core import (Dataset, Expert, PosteriorPrediction, _as_queries, _posterior_with_solve,
+                      cholesky_with_jitter, posterior)
 from .kernel import kernel_matrix
 
-__all__ = ["ConditionedPrior", "AdaptedExpert", "conditional_prior", "adapted_posterior"]
-
-
-@dataclass(frozen=True)
-class ConditionedPrior:
-    """Source-posterior mean (N_t x C) and covariance (N_t x N_t) at target inputs."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-def _check_dim(e: Expert, X: np.ndarray, name: str) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != e.data.dim:
-        raise InvalidInputError(
-            f"{name} has D={X.shape[1]}, source expert was trained with D={e.data.dim}"
-        )
-    return X
-
-
-def conditional_prior(source: Expert, X_t) -> ConditionedPrior:
-    """Source posterior evaluated jointly at the target inputs ``X_t`` (N_t x D).
-
-    The covariance is the full N_t x N_t matrix (not just its diagonal),
-    symmetrized to remove floating-point asymmetry.
-    """
-    X_t = _check_dim(source, X_t, "X_t")
-    K_st = kernel_matrix(source.data.X, X_t, h=source.hyper)  # N_s x N_t
-    mean = K_st.T @ source.alpha
-    v = solve_triangular(source.chol, K_st, lower=True, check_finite=False)
-    K_tt = kernel_matrix(X_t, h=source.hyper)
-    cov = K_tt - v.T @ v
-    cov = 0.5 * (cov + cov.T)
-    return ConditionedPrior(mean=mean, cov=cov)
+__all__ = ["AdaptedExpert", "adapted_posterior"]
 
 
 class AdaptedExpert:
@@ -84,28 +48,25 @@ class AdaptedExpert:
             )
         self.source = source
         self.target = target
-        self.prior = conditional_prior(source, target.X)
-        noise_var = source.hyper.noise_std**2  # source noise, also on target observations
-        C_t = self.prior.cov + noise_var * np.eye(target.n)
-        self._chol_t, self.jitter = cholesky_with_jitter(C_t)
+        # Source posterior jointly at the target inputs: mean (N_t x C) and
+        # covariance (N_t x N_t), symmetrized against floating-point asymmetry.
+        K_st = kernel_matrix(source.data.X, target.X, h=source.hyper)  # N_s x N_t
+        prior_mean = K_st.T @ source.alpha
         # N_s x N_t half-solve, reused for every cross-covariance batch
-        K_st = kernel_matrix(source.data.X, target.X, h=source.hyper)
         self._v_t = solve_triangular(source.chol, K_st, lower=True, check_finite=False)
-        self._correction = cho_solve((self._chol_t, True), target.Y - self.prior.mean,
+        prior_cov = kernel_matrix(target.X, h=source.hyper) - self._v_t.T @ self._v_t
+        prior_cov = 0.5 * (prior_cov + prior_cov.T)
+        noise_var = source.hyper.noise_std**2  # source noise, also on target observations
+        self._chol_t, self.jitter = cholesky_with_jitter(prior_cov + noise_var * np.eye(target.n))
+        self._correction = cho_solve((self._chol_t, True), target.Y - prior_mean,
                                      check_finite=False)
-
-    def cross_covariance(self, X_star: np.ndarray) -> np.ndarray:
-        """Source-posterior covariance between target inputs and test points (N_t x M)."""
-        K_t_star = kernel_matrix(self.target.X, X_star, h=self.source.hyper)
-        K_s_star = kernel_matrix(self.source.data.X, X_star, h=self.source.hyper)
-        v_star = solve_triangular(self.source.chol, K_s_star, lower=True, check_finite=False)
-        return K_t_star - self._v_t.T @ v_star
 
     def posterior(self, X_star) -> PosteriorPrediction:
         """Adapted predictive mean and variance at ``X_star`` (M x D)."""
-        X_star = _check_dim(self.source, X_star, "X_star")
-        base = posterior(self.source, X_star)
-        cross = self.cross_covariance(X_star)
+        X_star = _as_queries(self.source, X_star)
+        base, v_star = _posterior_with_solve(self.source, X_star)
+        # source-posterior covariance between target inputs and test points (N_t x M)
+        cross = kernel_matrix(self.target.X, X_star, h=self.source.hyper) - self._v_t.T @ v_star
         mean = base.mean + cross.T @ self._correction
         u = solve_triangular(self._chol_t, cross, lower=True, check_finite=False)
         variance = base.variance - np.sum(u * u, axis=0)
@@ -120,5 +81,5 @@ def adapted_posterior(source: Expert, target: Dataset | None, X_star) -> Posteri
     correction vanishes and the plain source posterior is returned.
     """
     if target is None:
-        return posterior(source, _check_dim(source, X_star, "X_star"))
+        return posterior(source, X_star)
     return AdaptedExpert(source, target).posterior(X_star)

@@ -2,13 +2,21 @@
 
 For each fold the source models are trained once; the target training set is
 then grown through the requested cardinality schedule and every method is
-scored on the held-out target test set.  Methods:
+scored on the held-out target test set.  Every method is a
+:class:`GpdeModel` configuration scored through the same :func:`predict`
+(``pooled`` is one expert on all source data, ``target`` the expert fit on
+the target subset, ``sources`` the per-domain experts):
 
-    gp_source  one GP on all source data pooled (ignores the target set)
-    gp_target  one GP on the target training subset alone
-    gpa        pooled source GP corrected by the target subset
-    gpde_ss    two-expert fusion: pooled-source expert + target expert
-    gpde       full fusion: per-domain source experts + target expert
+    method     experts (sources; target)    betas
+    gp_source  [pooled]; none               [1]
+    gp_target  []; target                   [1]
+    gpa        [pooled]; target             [1, 0]
+    gpde_ss    [pooled]; target             [1/2, 1/2]
+    gpde       sources; target              uniform 1/(S+1)
+
+A source expert is conditioned on the target subset whenever the model has a
+target expert, so ``gpa`` is the adapted pooled expert alone: its zero beta
+switches the target expert's own prediction off exactly.
 
 Results are per-(method, cardinality, fold, metric) rows; aggregation is a
 plain mean over folds.  Synthetic folds are independent regenerations of the
@@ -23,11 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adaptation import adapted_posterior
 from .data import PcaProjector, ShiftConfig, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
-from .experts import GpdeModel, hard_labels, predict, train_source_experts, uniform_betas
-from .gp_core import Dataset, fit, posterior, train_expert
+from .experts import GpdeModel, predict, train_source_experts, uniform_betas
+from .gp_core import Dataset, fit, train_expert
 from .metrics import classification_rate, multilabel_report
 
 __all__ = ["METHODS", "BenchmarkSpec", "BenchRow", "BenchmarkResult", "run_benchmark",
@@ -227,40 +234,29 @@ def run_benchmark(
             )
             pooled_expert = train_expert(pooled, fit([pooled]))
             source_fits += 1
-        multi_experts = None
+        multi_experts = []
         if "gpde" in spec.methods:
             multi_experts = train_source_experts(sources)
             source_fits += 1
 
-        source_pred = None
-        if "gp_source" in spec.methods:
-            p = posterior(pooled_expert, test.X)
-            source_pred = _score(p.mean, hard_labels(p.mean, spec.mode), test, spec)
+        def score(experts, target_expert, betas) -> dict:
+            fused = predict(GpdeModel(experts, target_expert, betas, mode=spec.mode), test.X)
+            return _score(fused.mean, fused.labels, test, spec)
+
+        if "gp_source" in spec.methods:  # ignores the target set: scored once per fold
+            source_values = score([pooled_expert], None, [1.0])
 
         for n_t in spec.schedule:
             target = Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")
-            target_expert = None
-            if {"gp_target", "gpde_ss", "gpde"} & set(spec.methods):
-                target_expert = train_expert(target, fit([target]))
+            target_expert = train_expert(target, fit([target])) if needs_target else None
+            models = {  # method: (source experts, target expert, betas)
+                "gp_target": ([], target_expert, [1.0]),
+                "gpa": ([pooled_expert], target_expert, [1.0, 0.0]),
+                "gpde_ss": ([pooled_expert], target_expert, uniform_betas(2)),
+                "gpde": (multi_experts, target_expert, uniform_betas(len(multi_experts) + 1)),
+            }
             for method in spec.methods:
-                if method == "gp_source":
-                    values = source_pred
-                elif method == "gp_target":
-                    p = posterior(target_expert, test.X)
-                    values = _score(p.mean, hard_labels(p.mean, spec.mode), test, spec)
-                elif method == "gpa":
-                    p = adapted_posterior(pooled_expert, target, test.X)
-                    values = _score(p.mean, hard_labels(p.mean, spec.mode), test, spec)
-                elif method == "gpde_ss":
-                    model = GpdeModel([pooled_expert], target_expert, uniform_betas(2),
-                                      mode=spec.mode)
-                    fused = predict(model, test.X)
-                    values = _score(fused.mean, fused.labels, test, spec)
-                else:  # gpde
-                    model = GpdeModel(multi_experts, target_expert,
-                                      uniform_betas(len(multi_experts) + 1), mode=spec.mode)
-                    fused = predict(model, test.X)
-                    values = _score(fused.mean, fused.labels, test, spec)
+                values = source_values if method == "gp_source" else score(*models[method])
                 rows.extend(
                     BenchRow(method, n_t, fold, metric, value)
                     for metric, value in values.items()

@@ -24,15 +24,7 @@ import numpy as np
 
 from .adaptation import AdaptedExpert
 from .exceptions import InvalidInputError
-from .gp_core import (
-    Dataset,
-    Expert,
-    Hyperparams,
-    OptimizerOptions,
-    fit,
-    posterior,
-    train_expert,
-)
+from .gp_core import Dataset, Expert, fit, posterior, train_expert
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -54,12 +46,28 @@ VARIANCE_FLOOR = 1e-10
 
 MODES = ("multilabel", "multiclass")
 
+# Largest accepted |sum(betas) - 1|.
+BETA_SUM_TOL = 1e-9
+
 
 def uniform_betas(n_experts: int) -> np.ndarray:
     """Equal expert weights 1/n, the default combination rule."""
     if n_experts < 1:
         raise InvalidInputError("need at least one expert")
     return np.full(n_experts, 1.0 / n_experts)
+
+
+def _check_betas(betas, n_experts: int) -> np.ndarray:
+    """Combination weights as a float array: one per expert, nonnegative,
+    summing to 1 within ``BETA_SUM_TOL``.  NaN entries fail both tests."""
+    betas = np.asarray(betas, dtype=float)
+    if betas.shape != (n_experts,):
+        raise InvalidInputError(
+            f"betas must have one entry per expert ({n_experts}), got shape {betas.shape}"
+        )
+    if not (np.all(betas >= 0.0) and abs(float(betas.sum()) - 1.0) <= BETA_SUM_TOL):
+        raise InvalidInputError(f"betas must be nonnegative and sum to 1, got {betas!r}")
+    return betas
 
 
 @dataclass(frozen=True)
@@ -73,17 +81,9 @@ class GpdeModel:
     mode: str = "multilabel"
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
-        object.__setattr__(self, "betas", betas)
-        n = self.n_experts
-        if n == 0:
+        if self.n_experts == 0:
             raise InvalidInputError("model needs at least one expert")
-        if betas.shape != (n,):
-            raise InvalidInputError(f"betas must have one entry per expert ({n}), got {betas.shape}")
-        if np.any(betas < 0):
-            raise InvalidInputError("betas must be nonnegative")
-        if abs(float(betas.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError(f"betas must sum to 1, got {betas.sum()!r}")
+        object.__setattr__(self, "betas", _check_betas(self.betas, self.n_experts))
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
         experts = list(self.sources) + ([self.target] if self.target else [])
@@ -126,31 +126,21 @@ class FusedPrediction:
     labels: np.ndarray = field(default=None)
 
 
-def train_source_experts(
-    source_datasets: list[Dataset],
-    init: Hyperparams | None = None,
-    opts: OptimizerOptions | None = None,
-) -> list[Expert]:
+def train_source_experts(source_datasets: list[Dataset]) -> list[Expert]:
     """Fit one shared hyperparameter triple over all source datasets and
     train an expert per dataset with it."""
-    shared = fit(source_datasets, init=init, opts=opts)
+    shared = fit(source_datasets)
     return [train_expert(d, shared) for d in source_datasets]
 
 
-def train_target_expert(
-    target_dataset: Dataset,
-    init: Hyperparams | None = None,
-    opts: OptimizerOptions | None = None,
-) -> Expert:
+def train_target_expert(target_dataset: Dataset) -> Expert:
     """Fit hyperparameters on the target data alone and train its expert."""
-    return train_expert(target_dataset, fit([target_dataset], init=init, opts=opts))
+    return train_expert(target_dataset, fit([target_dataset]))
 
 
 def train_gpde(
     source_datasets: list[Dataset],
     target_dataset: Dataset | None,
-    init: Hyperparams | None = None,
-    opts: OptimizerOptions | None = None,
     betas: np.ndarray | None = None,
     mode: str = "multilabel",
     source_experts: list[Expert] | None = None,
@@ -163,27 +153,17 @@ def train_gpde(
     pool.  Weights default to uniform over the experts present.
     """
     if source_experts is None:
-        source_experts = (
-            train_source_experts(source_datasets, init=init, opts=opts) if source_datasets else []
-        )
-    target = (
-        train_target_expert(target_dataset, init=init, opts=opts)
-        if target_dataset is not None else None
-    )
+        source_experts = train_source_experts(source_datasets) if source_datasets else []
+    target = train_target_expert(target_dataset) if target_dataset is not None else None
     if betas is None:
         betas = uniform_betas(len(source_experts) + (1 if target is not None else 0))
     return GpdeModel(sources=source_experts, target=target, betas=betas, mode=mode)
 
 
-def retarget(
-    model: GpdeModel,
-    target_dataset: Dataset,
-    init: Hyperparams | None = None,
-    opts: OptimizerOptions | None = None,
-) -> GpdeModel:
+def retarget(model: GpdeModel, target_dataset: Dataset) -> GpdeModel:
     """Adapt a trained pool to a new target domain, reusing the source
     experts unchanged."""
-    target = train_target_expert(target_dataset, init=init, opts=opts)
+    target = train_target_expert(target_dataset)
     return GpdeModel(sources=model.sources, target=target, betas=model.betas, mode=model.mode)
 
 
@@ -199,7 +179,7 @@ def fuse(
     expert_means : list of (M_test x C) arrays
     expert_variances : list of (M_test,) arrays
         Clamped at ``VARIANCE_FLOOR`` before inversion.
-    betas : array-like, nonnegative, summing to 1
+    betas : array-like, nonnegative, summing to 1 within ``BETA_SUM_TOL``
 
     Returns
     -------
@@ -208,18 +188,12 @@ def fuse(
     """
     if not expert_means or len(expert_means) != len(expert_variances):
         raise InvalidInputError("expert mean/variance lists must be nonempty and aligned")
-    betas = np.asarray(betas, dtype=float)
-    if betas.shape != (len(expert_means),):
-        raise InvalidInputError("betas must align with the expert lists")
-    if np.any(betas < 0) or abs(float(betas.sum()) - 1.0) > 1e-9:
-        raise InvalidInputError("betas must be nonnegative and sum to 1")
+    betas = _check_betas(betas, len(expert_means))
     means = [np.atleast_2d(np.asarray(m, dtype=float)) for m in expert_means]
     variances = [
         np.maximum(np.asarray(v, dtype=float).ravel(), VARIANCE_FLOOR) for v in expert_variances
     ]
     active = [i for i in range(len(means)) if betas[i] > 0.0]
-    if not active:
-        raise InvalidInputError("at least one beta must be positive")
     if len(active) == 1:  # single-expert degeneracy is exact, no double rounding
         i = active[0]
         return means[i].copy(), variances[i].copy()

@@ -262,8 +262,9 @@ def fit_detailed(
         try:
             h = Hyperparams.from_log(z)
             return sum(_lml_from_parts(sq, Y, h, with_grad=False)[0] for sq, Y in parts)
-        except (NumericalError, InvalidInputError):
-            # overflow/underflow of exp(z) or a failed factorization: reject the step
+        except (NumericalError, InvalidInputError, OverflowError):
+            # overflow/underflow of exp(z) or signal_std**2, or a failed
+            # factorization: reject the step
             return -np.inf
 
     def value_and_grad(z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -358,13 +359,8 @@ def train_expert(data: Dataset, h: Hyperparams) -> Expert:
     return Expert(data=data, hyper=h, chol=L, alpha=alpha, jitter=jitter)
 
 
-def posterior(e: Expert, X_star) -> PosteriorPrediction:
-    """Predictive posterior of an expert at test inputs ``X_star`` (M x D).
-
-    The mean is ``k_*^T (K + noise^2 I)^-1 Y``; the variance is the latent
-    prior variance ``signal_std**2`` minus the explained part, computed via
-    triangular solves against the cached factor and clamped at zero.
-    """
+def _as_queries(e: Expert, X_star) -> np.ndarray:
+    """Test inputs as an M x D float matrix, checked against the expert's D."""
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star[None, :]
@@ -372,9 +368,25 @@ def posterior(e: Expert, X_star) -> PosteriorPrediction:
         raise InvalidInputError(
             f"X_star has D={X_star.shape[1]}, expert was trained with D={e.data.dim}"
         )
+    return X_star
+
+
+def _posterior_with_solve(e: Expert, X_star: np.ndarray):
+    """Posterior at checked test inputs plus the half-solve ``L^-1 K(X, X_star)``,
+    which adaptation reuses for its cross-covariance."""
     K_star = kernel_matrix(e.data.X, X_star, h=e.hyper)  # N x M
     mean = K_star.T @ e.alpha
     v = solve_triangular(e.chol, K_star, lower=True, check_finite=False)
     variance = e.hyper.signal_std**2 - np.sum(v * v, axis=0)
     np.maximum(variance, 0.0, out=variance)
-    return PosteriorPrediction(mean=mean, variance=variance)
+    return PosteriorPrediction(mean=mean, variance=variance), v
+
+
+def posterior(e: Expert, X_star) -> PosteriorPrediction:
+    """Predictive posterior of an expert at test inputs ``X_star`` (M x D).
+
+    The mean is ``k_*^T (K + noise^2 I)^-1 Y``; the variance is the latent
+    prior variance ``signal_std**2`` minus the explained part, computed via
+    triangular solves against the cached factor and clamped at zero.
+    """
+    return _posterior_with_solve(e, _as_queries(e, X_star))[0]

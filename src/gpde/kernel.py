@@ -1,4 +1,4 @@
-"""Isotropic RBF covariance: pointwise/batched evaluation and log-space gradients.
+"""Isotropic RBF covariance: pointwise and batched evaluation.
 
 The kernel is
 
@@ -22,7 +22,6 @@ __all__ = [
     "kernel_eval",
     "kernel_matrix",
     "squared_distances",
-    "kernel_matrix_gradients",
 ]
 
 
@@ -127,22 +126,3 @@ def kernel_matrix(X, X_prime=None, *, h: Hyperparams) -> np.ndarray:
     sq = squared_distances(X, X_prime)
     return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
 
-
-def kernel_matrix_gradients(X, h: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic derivatives of K(X, X) w.r.t. log length_scale and log signal_std.
-
-    Returns
-    -------
-    d_log_ell : ndarray, shape (N, N)
-        dK/d(log length_scale), entrywise K_ij * ||x_i - x_j||^2 / length_scale^2.
-    d_log_sf : ndarray, shape (N, N)
-        dK/d(log signal_std) = 2 K.
-    """
-    X = _as_matrix(X, "X")
-    if X.shape[0] == 0:
-        raise InvalidInputError("X must be nonempty")
-    sq = squared_distances(X)
-    K = h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
-    d_log_ell = K * (sq / h.length_scale**2)
-    d_log_sf = 2.0 * K
-    return d_log_ell, d_log_sf

@@ -48,6 +48,8 @@ def _read_json(path, kind: str) -> dict:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataLoadError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataLoadError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("kind") != kind:
         raise DataLoadError(f"{path}: expected kind {kind!r}, got {payload.get('kind')!r}")
     return payload
@@ -81,12 +83,12 @@ def load_expert_pool(path) -> tuple[Hyperparams, list[Dataset]]:
         hyper = Hyperparams.from_log(
             [hp["log_length_scale"], hp["log_signal_std"], hp["log_noise_std"]]
         )
-        domains = payload["domains"]
-    except (KeyError, TypeError) as exc:
+        domains = [(d["domain_id"], d["path"]) for d in payload["domains"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataLoadError(f"{path}: malformed pool file ({exc})") from None
     base = os.path.dirname(os.path.abspath(path))
     datasets = [
-        load_dataset(os.path.join(base, d["path"]), domain_id=d["domain_id"]) for d in domains
+        load_dataset(os.path.join(base, p), domain_id=domain_id) for domain_id, p in domains
     ]
     return hyper, datasets
 
@@ -116,18 +118,27 @@ def load_bundle(path) -> GpdeModel:
     """Reassemble a :class:`GpdeModel` from a bundle file."""
     payload = _read_json(path, BUNDLE_KIND)
     base = os.path.dirname(os.path.abspath(path))
-    join = lambda p: os.path.join(base, p)
-    sources: list[Expert] = []
-    if payload.get("sources"):
-        sources = load_experts(join(payload["sources"]))
+
+    def pool_path(key: str) -> str | None:
+        ref = payload.get(key)
+        if ref is not None and not isinstance(ref, str):
+            raise DataLoadError(f"{path}: {key} must be a pool path or null, got {ref!r}")
+        return os.path.join(base, ref) if ref else None
+
+    sources_pool, target_pool = pool_path("sources"), pool_path("target")
+    sources: list[Expert] = load_experts(sources_pool) if sources_pool else []
     target = None
-    if payload.get("target"):
-        target_experts = load_experts(join(payload["target"]))
+    if target_pool:
+        target_experts = load_experts(target_pool)
         if len(target_experts) != 1:
             raise DataLoadError(f"{path}: target pool must contain exactly one domain")
         target = target_experts[0]
     betas = payload.get("betas")
     if betas is None:
         betas = uniform_betas(len(sources) + (1 if target else 0))
-    return GpdeModel(sources=sources, target=target, betas=np.asarray(betas, dtype=float),
+    try:
+        betas = np.asarray(betas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataLoadError(f"{path}: malformed betas ({exc})") from None
+    return GpdeModel(sources=sources, target=target, betas=betas,
                      mode=payload.get("mode", "multilabel"))

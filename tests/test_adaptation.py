@@ -6,7 +6,6 @@ from gpde import (
     Dataset,
     InvalidInputError,
     adapted_posterior,
-    conditional_prior,
     posterior,
     train_expert,
 )
@@ -29,27 +28,6 @@ def joint_conditional(X_obs, Y_obs, X_q, h):
     mean = solve.T @ Y_obs
     cov = K_qq - K_oq.T @ solve
     return mean, cov
-
-
-class TestConditionalPrior:
-    def test_matches_joint_conditioning(self, rng):
-        for _ in range(20):
-            h = random_hyper(rng)
-            src = random_dataset(rng, n=int(rng.integers(2, 8)), d=2, c=2, domain_id="s")
-            X_t = rng.normal(size=(int(rng.integers(1, 5)), 2))
-            e = train_expert(src, h)
-            prior = conditional_prior(e, X_t)
-            mean, cov = joint_conditional(src.X, src.Y, X_t, h)
-            assert np.allclose(prior.mean, mean, atol=1e-8)
-            assert np.allclose(prior.cov, cov, atol=1e-8)
-
-    def test_cov_symmetric_bounded_diagonal(self, rng):
-        h = random_hyper(rng)
-        e = train_expert(random_dataset(rng, n=6, d=2), h)
-        prior = conditional_prior(e, rng.normal(size=(5, 2)))
-        assert np.array_equal(prior.cov, prior.cov.T)
-        assert np.all(np.diagonal(prior.cov) >= -1e-10)
-        assert np.all(np.diagonal(prior.cov) <= h.signal_std**2 + 1e-10)
 
 
 class TestAdaptedPosterior:

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -253,6 +254,29 @@ class TestCliErrors:
                        "--nt", "30", "--folds", 2, "--methods", "gp_target",
                        "--metrics", "acc")
         assert code == 2
+
+    @pytest.mark.parametrize("bundle, domain_has_path, log_length_scale", [
+        ([1, 2], True, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, False, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json", "betas": "x"}, True, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": 5}, True, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, True, "x"),
+    ], ids=["json-array", "domain-without-path", "string-betas", "numeric-pool-path",
+            "string-hyperparameter"])
+    def test_predict_on_malformed_model_file(self, corpus, tmp_path, capsys, bundle,
+                                             domain_has_path, log_length_scale):
+        domain = {"domain_id": "source_0"}
+        if domain_has_path:
+            domain["path"] = str(corpus / "source_0.csv")
+        (tmp_path / "pool.json").write_text(json.dumps({
+            "kind": "gpde_expert_pool", "domains": [domain],
+            "hyperparams": {"log_length_scale": log_length_scale, "log_signal_std": 0.0,
+                            "log_noise_std": -1.0}}))
+        (tmp_path / "model.json").write_text(json.dumps(bundle))
+        code = run_cli("predict", "--model", tmp_path / "model.json",
+                       "--data", corpus / "target_test.csv")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_train_source_on_bad_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"

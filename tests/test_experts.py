@@ -19,7 +19,7 @@ from gpde import (
     train_target_expert,
     uniform_betas,
 )
-from gpde.experts import VARIANCE_FLOOR
+from gpde.experts import BETA_SUM_TOL, VARIANCE_FLOOR
 
 from conftest import random_dataset, random_hyper
 
@@ -112,6 +112,29 @@ class TestFuse:
             fuse(means, variances, np.array([0.9, 0.9]))
 
 
+class TestBetaValidation:
+    """GpdeModel and fuse accept and reject the same combination weights."""
+
+    @pytest.mark.parametrize("betas", [
+        [0.5, 0.5 + 2 * BETA_SUM_TOL],
+        [1.2, -0.2],
+        [float("nan"), 1.0],
+        [1.0],
+    ])
+    def test_rejected_by_model_and_fuse(self, rng, betas):
+        model = make_model(rng, n_sources=1)
+        with pytest.raises(InvalidInputError):
+            GpdeModel(model.sources, model.target, betas)
+        with pytest.raises(InvalidInputError):
+            fuse([rng.normal(size=(3, 2))] * 2, [rng.uniform(0.1, 1.0, size=3)] * 2, betas)
+
+    def test_sum_within_tolerance_accepted(self, rng):
+        model = make_model(rng, n_sources=1)
+        betas = [0.5, 0.5 + 0.5 * BETA_SUM_TOL]
+        GpdeModel(model.sources, model.target, betas)
+        fuse([rng.normal(size=(3, 2))] * 2, [rng.uniform(0.1, 1.0, size=3)] * 2, betas)
+
+
 class TestHardLabels:
     def test_multilabel_sign_with_zero_positive(self):
         mean = np.array([[0.5, -0.2], [0.0, -0.0]])
@@ -199,6 +222,27 @@ class TestPredict:
         model = make_model(rng)
         with pytest.raises(InvalidInputError):
             predict(model, rng.normal(size=(3, 5)))
+
+
+class TestMethodConfigurations:
+    """The benchmark's single-expert methods are exact GpdeModel configurations."""
+
+    def test_zero_target_beta_is_adapted_source(self, rng):
+        model = make_model(rng, n_sources=1)
+        e, t = model.sources[0], model.target
+        X_q = rng.normal(size=(7, 2))
+        fused = predict(GpdeModel([e], t, [1.0, 0.0]), X_q)
+        ref = adapted_posterior(e, t.data, X_q)
+        assert np.array_equal(fused.mean, ref.mean)
+        assert np.array_equal(fused.labels, hard_labels(ref.mean, "multilabel"))
+
+    def test_target_only_model_is_target_posterior(self, rng):
+        t = make_model(rng).target
+        X_q = rng.normal(size=(7, 2))
+        fused = predict(GpdeModel([], t, [1.0]), X_q)
+        ref = posterior(t, X_q)
+        assert np.array_equal(fused.mean, ref.mean)
+        assert np.array_equal(fused.labels, hard_labels(ref.mean, "multilabel"))
 
 
 class TestExpertWeights:

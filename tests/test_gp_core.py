@@ -8,12 +8,16 @@ from gpde import (
     InvalidInputError,
     NumericalError,
     OptimizerOptions,
+    ShiftConfig,
     default_init,
     fit,
     fit_detailed,
     kernel_matrix,
     log_marginal_likelihood,
+    pca_apply,
+    pca_fit,
     posterior,
+    synth_shift,
     train_expert,
 )
 from gpde.gp_core import cholesky_with_jitter
@@ -143,6 +147,19 @@ class TestFit:
         data = random_dataset(rng, n=10, d=2, c=1)
         with pytest.warns(RuntimeWarning):
             fit([data], opts=OptimizerOptions(max_iter=1))
+
+    def test_overflowing_trial_step_is_rejected(self):
+        # The shared source fit of fold 0 of the synthetic benchmark with
+        # seed 11558348 (fold seed 3040981424), 5 domains x 30 points: one
+        # line-search trial overflows signal_std**2 and must be rejected
+        # like any other failed step.
+        cfg = ShiftConfig(samples_per_domain=30, n_target_test=100, seed=3040981424)
+        sources, _, _ = synth_shift(cfg)
+        projector = pca_fit(np.concatenate([s.X for s in sources]), 0.99)
+        sources = [Dataset(pca_apply(projector, s.X), s.Y, s.domain_id) for s in sources]
+        res = fit_detailed(sources)
+        assert np.isfinite(res.objective)
+        assert np.all(np.diff(res.trace) >= -1e-12)
 
     def test_rejects_mixed_shapes_and_empty(self, rng):
         with pytest.raises(InvalidInputError):

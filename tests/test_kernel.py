@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gpde import Hyperparams, InvalidInputError, kernel_eval, kernel_matrix, squared_distances
-from gpde.kernel import kernel_matrix_gradients
 
 from conftest import random_hyper
 
@@ -106,19 +105,3 @@ class TestKernelMatrix:
         assert np.all(K <= h.signal_std**2 + 1e-12)
         assert np.all(K > 0.0)
 
-
-class TestKernelGradients:
-    def test_matches_finite_differences(self, rng):
-        eps = 1e-6
-        for _ in range(5):
-            h = random_hyper(rng)
-            X = rng.normal(size=(5, 2))
-            d_ell, d_sf = kernel_matrix_gradients(X, h)
-            z = h.to_log()
-            for idx, got in ((0, d_ell), (1, d_sf)):
-                zp, zm = z.copy(), z.copy()
-                zp[idx] += eps
-                zm[idx] -= eps
-                fd = (kernel_matrix(X, h=Hyperparams.from_log(zp))
-                      - kernel_matrix(X, h=Hyperparams.from_log(zm))) / (2 * eps)
-                assert np.allclose(got, fd, atol=1e-8)
