@@ -1,11 +1,12 @@
 """Benchmark protocol: train on sources, adapt to a growing target set, score.
 
-For each fold the source models are trained once; the target training set is
-then grown through the requested cardinality schedule and every method is
-scored on the held-out target test set.  Every method is a
-:class:`GpdeModel` configuration scored through the same :func:`predict`
-(``pooled`` is one expert on all source data, ``target`` the expert fit on
-the target subset, ``sources`` the per-domain experts):
+The source models are trained once per set of sources: once per fold for
+synthetic folds, which regenerate their sources, and once per run for
+file-mode folds, which share them.  The target training set is then grown
+through the requested cardinality schedule and every method is scored on the
+held-out target test set.  Every method is a :class:`GpdeModel`
+configuration (``pooled`` is one expert on all source data, ``target`` the
+expert fit on the target subset, ``sources`` the per-domain experts):
 
     method     experts (sources; target)    betas
     gp_source  [pooled]; none               [1]
@@ -16,7 +17,9 @@ the target subset, ``sources`` the per-domain experts):
 
 A source expert is conditioned on the target subset whenever the model has a
 target expert, so ``gpa`` is the adapted pooled expert alone: its zero beta
-switches the target expert's own prediction off exactly.
+switches the target expert's own prediction off exactly.  Methods over the
+same experts (``gpa`` and ``gpde_ss``) share one :func:`predict` per
+cardinality, and each fuses its per-expert predictions with its own betas.
 
 Results are per-(method, cardinality, fold, metric) rows; aggregation is a
 plain mean over folds.  Synthetic folds are independent regenerations of the
@@ -27,14 +30,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import PcaProjector, ShiftConfig, config_hash, pca_apply, pca_fit, synth_shift
+from .data import ShiftConfig, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
-from .experts import GpdeModel, predict, train_source_experts, uniform_betas
-from .gp_core import Dataset, fit, train_expert
+from .experts import (GpdeModel, fuse, hard_labels, predict, train_source_experts,
+                      uniform_betas)
+from .gp_core import Dataset, Expert, fit, train_expert
 from .metrics import classification_rate, multilabel_report
 
 __all__ = ["METHODS", "BenchmarkSpec", "BenchRow", "BenchmarkResult", "run_benchmark",
@@ -145,13 +149,56 @@ def _score(mean: np.ndarray, labels: np.ndarray, test: Dataset, spec: BenchmarkS
     return values
 
 
-def _pca_all(energy, sources, pool, test):
-    if energy is None or not sources:
-        return sources, pool, test
-    projector: PcaProjector = pca_fit(np.concatenate([s.X for s in sources]), energy)
-    def proj(d: Dataset) -> Dataset:
+class _SourceSide(NamedTuple):
+    """The PCA projection fit on the sources, the source experts the methods
+    need, and the number of hyperparameter fits that training them ran."""
+
+    project: Callable[[Dataset], Dataset]
+    pooled: Expert | None
+    experts: list[Expert]
+    fits: int
+
+
+def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
+    projector = None
+    if spec.energy is not None and sources:
+        projector = pca_fit(np.concatenate([s.X for s in sources]), spec.energy)
+
+    def project(d: Dataset) -> Dataset:
+        if projector is None:
+            return d
         return Dataset(X=pca_apply(projector, d.X), Y=d.Y, domain_id=d.domain_id)
-    return [proj(s) for s in sources], proj(pool), proj(test)
+
+    sources = [project(s) for s in sources]
+    pooled, experts, fits = None, [], 0
+    if _POOLED_METHODS & set(spec.methods):
+        data = Dataset(
+            X=np.concatenate([s.X for s in sources]),
+            Y=np.concatenate([s.Y for s in sources]),
+            domain_id="source_pool",
+        )
+        pooled = train_expert(data, fit([data]))
+        fits += 1
+    if "gpde" in spec.methods:
+        experts = train_source_experts(sources)
+        fits += 1
+    return _SourceSide(project, pooled, experts, fits)
+
+
+def _score_methods(models: dict, test: Dataset, spec: BenchmarkSpec) -> dict:
+    """Scores per method of ``models`` {method: (source experts, target expert,
+    betas)}.  Methods over the same experts share one :func:`predict` and
+    differ only in the betas that fuse its per-expert predictions."""
+    predictions = {}
+    scores = {}
+    for method, (experts, target, betas) in models.items():
+        key = (tuple(map(id, experts)), id(target))
+        if key not in predictions:
+            predictions[key] = predict(GpdeModel(experts, target, betas, mode=spec.mode), test.X)
+        p = predictions[key]
+        mean, _ = fuse(p.per_expert_means, p.per_expert_variances, betas)
+        scores[method] = _score(mean, hard_labels(mean, spec.mode), test, spec)
+    return scores
 
 
 def _fold_stream(seed: int, folds: int) -> list[int]:
@@ -209,57 +256,43 @@ def run_benchmark(
         {"sources": [d.domain_id for d in (source_datasets or [])],
          "target": target_pool.domain_id, "n": target_pool.n})
     rows: list[BenchRow] = []
-    source_fits = 0
-
     fold_seeds = _fold_stream(spec.seed, spec.folds) if synthetic else None
     file_folds = None if synthetic else list(_file_folds(spec, target_pool))
+    sources = list(source_datasets or [])
+    # file folds share their sources, so the source side is trained once
+    side = None if synthetic else _train_sources(spec, sources)
+    source_fits = 0 if synthetic else side.fits
 
     for fold in range(spec.folds):
         if synthetic:
             cfg = replace(shift_cfg, seed=fold_seeds[fold], mode=spec.mode)
             sources, pool, test = synth_shift(cfg)
+            side = _train_sources(spec, sources)
+            source_fits += side.fits
         else:
-            sources = list(source_datasets or [])
             pool, test = file_folds[fold]
-        sources, pool, test = _pca_all(spec.energy, sources, pool, test)
+        pool, test = side.project(pool), side.project(test)
         logger.info("fold %d: %d source domains, pool %d, test %d",
                     fold, len(sources), pool.n, test.n)
 
-        pooled_expert = None
-        if _POOLED_METHODS & set(spec.methods):
-            pooled = Dataset(
-                X=np.concatenate([s.X for s in sources]),
-                Y=np.concatenate([s.Y for s in sources]),
-                domain_id="source_pool",
-            )
-            pooled_expert = train_expert(pooled, fit([pooled]))
-            source_fits += 1
-        multi_experts = []
-        if "gpde" in spec.methods:
-            multi_experts = train_source_experts(sources)
-            source_fits += 1
-
-        def score(experts, target_expert, betas) -> dict:
-            fused = predict(GpdeModel(experts, target_expert, betas, mode=spec.mode), test.X)
-            return _score(fused.mean, fused.labels, test, spec)
-
+        scores = {}
         if "gp_source" in spec.methods:  # ignores the target set: scored once per fold
-            source_values = score([pooled_expert], None, [1.0])
-
+            scores = _score_methods({"gp_source": ([side.pooled], None, [1.0])}, test, spec)
         for n_t in spec.schedule:
             target = Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")
             target_expert = train_expert(target, fit([target])) if needs_target else None
             models = {  # method: (source experts, target expert, betas)
                 "gp_target": ([], target_expert, [1.0]),
-                "gpa": ([pooled_expert], target_expert, [1.0, 0.0]),
-                "gpde_ss": ([pooled_expert], target_expert, uniform_betas(2)),
-                "gpde": (multi_experts, target_expert, uniform_betas(len(multi_experts) + 1)),
+                "gpa": ([side.pooled], target_expert, [1.0, 0.0]),
+                "gpde_ss": ([side.pooled], target_expert, uniform_betas(2)),
+                "gpde": (side.experts, target_expert, uniform_betas(len(side.experts) + 1)),
             }
+            scores.update(_score_methods({m: models[m] for m in spec.methods if m in models},
+                                         test, spec))
             for method in spec.methods:
-                values = source_values if method == "gp_source" else score(*models[method])
                 rows.extend(
                     BenchRow(method, n_t, fold, metric, value)
-                    for metric, value in values.items()
+                    for metric, value in scores[method].items()
                 )
     return BenchmarkResult(spec=spec, rows=rows, source_fit_count=source_fits,
                            config_hash=hashed)

@@ -173,9 +173,9 @@ def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def _lml_from_parts(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, *, with_grad: bool):
-    """Log-marginal likelihood (and optionally its log-space gradient) from a
-    precomputed squared-distance matrix."""
+def _lml_value(sq: np.ndarray, Y: np.ndarray, h: Hyperparams):
+    """Log-marginal likelihood from a precomputed squared-distance matrix, plus
+    the factors ``(K, L, alpha)`` that :func:`_lml_grad` takes at the same point."""
     n, c = Y.shape
     K = h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
     Kn = K + h.noise_std**2 * np.eye(n)
@@ -184,8 +184,14 @@ def _lml_from_parts(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, *, with_grad:
     quad = float(np.sum(Y * alpha))
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
     value = -0.5 * quad - 0.5 * c * logdet - 0.5 * n * c * LOG_2PI
-    if not with_grad:
-        return value, None
+    return value, (K, L, alpha)
+
+
+def _lml_grad(sq: np.ndarray, h: Hyperparams, K: np.ndarray, L: np.ndarray,
+              alpha: np.ndarray) -> np.ndarray:
+    """Log-space gradient of the log-marginal likelihood from the factors
+    :func:`_lml_value` returned at ``h``."""
+    n, c = alpha.shape
     # d/dtheta = 1/2 tr[(alpha alpha^T - C Kn^-1) dK/dtheta], theta in log-space.
     Kn_inv = cho_solve((L, True), np.eye(n), check_finite=False)
     T = alpha @ alpha.T - c * Kn_inv
@@ -193,7 +199,7 @@ def _lml_from_parts(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, *, with_grad:
     g_ell = 0.5 * float(np.sum(T * d_log_ell))
     g_sf = 0.5 * float(np.sum(T * (2.0 * K)))
     g_sv = h.noise_std**2 * float(np.trace(T))
-    return value, np.array([g_ell, g_sf, g_sv])
+    return np.array([g_ell, g_sf, g_sv])
 
 
 def log_marginal_likelihood(data: Dataset, h: Hyperparams) -> tuple[float, np.ndarray]:
@@ -206,8 +212,8 @@ def log_marginal_likelihood(data: Dataset, h: Hyperparams) -> tuple[float, np.nd
         Derivatives w.r.t. (log length_scale, log signal_std, log noise_std).
     """
     sq = squared_distances(data.X)
-    value, grad = _lml_from_parts(sq, data.Y, h, with_grad=True)
-    return value, grad
+    value, factors = _lml_value(sq, data.Y, h)
+    return value, _lml_grad(sq, h, *factors)
 
 
 def default_init(datasets: list[Dataset]) -> Hyperparams:
@@ -258,26 +264,36 @@ def fit_detailed(
     h0 = init or default_init(datasets)
     parts = [(squared_distances(d.X), d.Y) for d in datasets]
 
-    def value_only(z: np.ndarray) -> float:
+    def value(z: np.ndarray):
+        """Summed objective at ``z``, plus what :func:`gradient` needs there."""
+        h = Hyperparams.from_log(z)
+        total, factors = 0.0, []
+        for sq, Y in parts:
+            v, f = _lml_value(sq, Y, h)
+            total += v
+            factors.append(f)
+        return total, (h, factors)
+
+    def value_only(z: np.ndarray):
         try:
-            h = Hyperparams.from_log(z)
-            return sum(_lml_from_parts(sq, Y, h, with_grad=False)[0] for sq, Y in parts)
+            return value(z)
         except (NumericalError, InvalidInputError, OverflowError):
             # overflow/underflow of exp(z) or signal_std**2, or a failed
             # factorization: reject the step
-            return -np.inf
+            return -np.inf, None
 
-    def value_and_grad(z: np.ndarray) -> tuple[float, np.ndarray]:
-        h = Hyperparams.from_log(z)
-        total, grad = 0.0, np.zeros(3)
-        for sq, Y in parts:
-            v, g = _lml_from_parts(sq, Y, h, with_grad=True)
-            total += v
-            grad += g
-        return total, grad
+    def gradient(state) -> np.ndarray:
+        # from the factors the value was computed with: each point is
+        # factorized once, whether it was the start or an accepted trial
+        h, factors = state
+        grad = np.zeros(3)
+        for (sq, _), f in zip(parts, factors):
+            grad += _lml_grad(sq, h, *f)
+        return grad
 
     z = h0.to_log()
-    f, g = value_and_grad(z)
+    f, state = value(z)
+    g = gradient(state)
     if not np.isfinite(f):
         raise InvalidInputError(f"objective is non-finite at the initial hyperparameters {h0}")
     trace = [f]
@@ -307,7 +323,7 @@ def fit_detailed(
         gg = gnorm**2
         while s >= opts.min_step:
             z_try = z + s * g
-            f_try = value_only(z_try)
+            f_try, state = value_only(z_try)
             if np.isfinite(f_try) and f_try >= f + opts.sufficient_increase * s * gg:
                 accepted = True
                 break
@@ -315,8 +331,8 @@ def fit_detailed(
         if not accepted:  # line search exhausted: no ascent direction progress
             break
         z_prev, g_prev = z, g
-        z = z_try
-        f, g = value_and_grad(z)
+        z, f = z_try, f_try
+        g = gradient(state)
         trace.append(f)
         step = s
     else:

@@ -6,17 +6,19 @@ from those files rather than embedded, and the cached factorizations are
 rebuilt deterministically on load.  A *model bundle* references a source pool
 and a target pool together with the combination weights and the decision
 mode.  Dataset paths are stored relative to the JSON file so a pool directory
-can be moved as a unit.
+can be moved as a unit.  Every file carries a ``config_hash`` of its own
+canonical JSON, checked on load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import numpy as np
 
-from .data import config_hash, load_dataset
+from .data import load_dataset
 from .exceptions import DataLoadError
 from .experts import GpdeModel, uniform_betas
 from .gp_core import Dataset, Expert, train_expert
@@ -34,9 +36,16 @@ POOL_KIND = "gpde_expert_pool"
 BUNDLE_KIND = "gpde_model_bundle"
 
 
+def _payload_hash(payload: dict) -> str:
+    """Short sha256 of the payload's canonical JSON (sorted keys), its own
+    ``config_hash`` left out, so it can be recomputed from the file."""
+    body = {k: v for k, v in payload.items() if k != "config_hash"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:12]
+
+
 def _write_json(path, payload: dict) -> None:
     payload = dict(payload)
-    payload["config_hash"] = config_hash({k: v for k, v in sorted(payload.items())})
+    payload["config_hash"] = _payload_hash(payload)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -52,6 +61,12 @@ def _read_json(path, kind: str) -> dict:
         raise DataLoadError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("kind") != kind:
         raise DataLoadError(f"{path}: expected kind {kind!r}, got {payload.get('kind')!r}")
+    if "config_hash" not in payload:
+        raise DataLoadError(f"{path}: malformed {kind} file: no config_hash")
+    stored, actual = payload["config_hash"], _payload_hash(payload)
+    if stored != actual:
+        raise DataLoadError(f"{path}: config_hash {stored!r} does not match the contents "
+                            f"({actual!r}); the file was changed after it was written")
     return payload
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -21,3 +24,11 @@ def random_hyper(rng):
         signal_std=float(rng.uniform(0.5, 1.5)),
         noise_std=float(rng.uniform(0.05, 0.5)),
     )
+
+
+def with_config_hash(payload: dict) -> dict:
+    """``payload`` with the ``config_hash`` a saved model file carries: the
+    first 12 hex digits of the sha256 of its sorted-key JSON, less that key."""
+    body = {k: v for k, v in payload.items() if k != "config_hash"}
+    canon = json.dumps(body, sort_keys=True).encode()
+    return {**body, "config_hash": hashlib.sha256(canon).hexdigest()[:12]}

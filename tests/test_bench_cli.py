@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gpde.bench as bench_mod
+import gpde.gp_core as gp_core
 from gpde import (
     BenchmarkSpec,
     ConfigError,
@@ -16,6 +17,8 @@ from gpde import (
     write_result_table,
 )
 from gpde.cli import main
+
+from conftest import with_config_hash
 
 SMALL_CFG = ShiftConfig(n_source_domains=2, samples_per_domain=40,
                         n_target_train=30, n_target_test=40, dims=2, seed=0)
@@ -157,11 +160,43 @@ class TestFileMode:
         spec = BenchmarkSpec(methods=("gp_target", "gpa"), schedule=(5, 10),
                              folds=2, metrics=("acc",), seed=1)
         result = run_benchmark(spec, source_datasets=sources, target_pool=pool)
-        assert result.source_fit_count == 2
+        assert result.source_fit_count == 1
         assert len(result.rows) == 2 * 2 * 2
         # folds partition the pool, so fold values differ in general
         assert result.rows == run_benchmark(spec, source_datasets=sources,
                                             target_pool=pool).rows
+
+
+class TestSourceFitsRun:
+    """Hyperparameter fits actually run on source data, counted at ``fit_detailed``."""
+
+    def _count_source_fits(self, monkeypatch):
+        calls = []
+        real = gp_core.fit_detailed
+
+        def counting(datasets, *args, **kwargs):
+            if datasets[0].domain_id != "target_train":
+                calls.append([d.domain_id for d in datasets])
+            return real(datasets, *args, **kwargs)
+
+        monkeypatch.setattr(gp_core, "fit_detailed", counting)
+        return calls
+
+    def test_file_folds_share_one_source_training(self, monkeypatch):
+        sources, pool, _ = synth_shift(SMALL_CFG)
+        calls = self._count_source_fits(monkeypatch)
+        spec = BenchmarkSpec(schedule=(5, 10), folds=3, metrics=("acc",), seed=2)
+        result = run_benchmark(spec, source_datasets=sources, target_pool=pool)
+        assert len(calls) == 2  # pooled + shared
+        assert result.source_fit_count == 2
+        assert {r.fold for r in result.rows} == {0, 1, 2}
+
+    def test_synthetic_folds_train_their_own_sources(self, monkeypatch):
+        calls = self._count_source_fits(monkeypatch)
+        spec = BenchmarkSpec(schedule=(5,), folds=2, metrics=("acc",), seed=2)
+        result = run_benchmark(spec, shift_cfg=SMALL_CFG)
+        assert len(calls) == 2 * 2
+        assert result.source_fit_count == 2 * 2
 
 
 def run_cli(*argv):
@@ -268,15 +303,32 @@ class TestCliErrors:
         domain = {"domain_id": "source_0"}
         if domain_has_path:
             domain["path"] = str(corpus / "source_0.csv")
-        (tmp_path / "pool.json").write_text(json.dumps({
+        # each file carries a valid config_hash, so the load reaches the defect
+        (tmp_path / "pool.json").write_text(json.dumps(with_config_hash({
             "kind": "gpde_expert_pool", "domains": [domain],
             "hyperparams": {"log_length_scale": log_length_scale, "log_signal_std": 0.0,
-                            "log_noise_std": -1.0}}))
+                            "log_noise_std": -1.0}})))
+        if isinstance(bundle, dict):
+            bundle = with_config_hash(bundle)
         (tmp_path / "model.json").write_text(json.dumps(bundle))
         code = run_cli("predict", "--model", tmp_path / "model.json",
                        "--data", corpus / "target_test.csv")
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_predict_on_edited_pool_file(self, corpus, tmp_path, capsys):
+        pool, model = tmp_path / "sources.json", tmp_path / "model.json"
+        assert run_cli("train-source", "--source", corpus / "source_0.csv",
+                       "--out", pool) == 0
+        assert run_cli("adapt", "--source", pool, "--out", model) == 0
+        payload = json.loads(pool.read_text())
+        payload["hyperparams"]["log_length_scale"] += 0.1
+        pool.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli("predict", "--model", model, "--data", corpus / "target_test.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sources.json" in err and "config_hash" in err
 
     def test_train_source_on_bad_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"

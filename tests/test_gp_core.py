@@ -20,6 +20,7 @@ from gpde import (
     synth_shift,
     train_expert,
 )
+import gpde.gp_core as gp_core
 from gpde.gp_core import cholesky_with_jitter
 
 from conftest import random_dataset, random_hyper
@@ -160,6 +161,27 @@ class TestFit:
         res = fit_detailed(sources)
         assert np.isfinite(res.objective)
         assert np.all(np.diff(res.trace) >= -1e-12)
+
+    def test_no_matrix_factorized_twice(self, rng, monkeypatch):
+        # The line search's factors at an accepted trial also give the
+        # gradient there, so each point's matrices are factorized once.
+        seen, repeats = set(), []
+        real = gp_core.cholesky_with_jitter
+
+        def recording(A):
+            key = (A.shape, A.tobytes())
+            if key in seen:
+                repeats.append(A.shape)
+            seen.add(key)
+            return real(A)
+
+        monkeypatch.setattr(gp_core, "cholesky_with_jitter", recording)
+        datasets = [random_dataset(rng, n=12, d=2, c=1, domain_id="a"),
+                    random_dataset(rng, n=9, d=2, c=1, domain_id="b")]
+        res = fit_detailed(datasets)
+        assert res.n_iter > 0
+        assert len(seen) >= 2 * len(res.trace)
+        assert repeats == []
 
     def test_rejects_mixed_shapes_and_empty(self, rng):
         with pytest.raises(InvalidInputError):

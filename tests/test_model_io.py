@@ -18,7 +18,7 @@ from gpde import (
     save_expert_pool,
     uniform_betas,
 )
-from conftest import random_dataset
+from conftest import random_dataset, with_config_hash
 
 
 @pytest.fixture
@@ -76,13 +76,34 @@ class TestExpertPool:
         bad.write_text("{not json")
         with pytest.raises(DataLoadError):
             load_expert_pool(bad)
-        bad.write_text(json.dumps({"kind": "gpde_expert_pool"}))
+        bad.write_text(json.dumps(with_config_hash({"kind": "gpde_expert_pool"})))
         with pytest.raises(DataLoadError, match="malformed"):
             load_expert_pool(bad)
 
     def test_config_hash_embedded(self, pool_dir):
         payload = json.loads((pool_dir / "sources.json").read_text())
         assert len(payload["config_hash"]) == 12
+
+    def test_config_hash_recomputes_from_the_file(self, pool_dir):
+        payload = json.loads((pool_dir / "sources.json").read_text())
+        assert with_config_hash(payload) == payload
+
+    def test_edited_hyperparameter_rejected(self, pool_dir):
+        path = pool_dir / "sources.json"
+        payload = json.loads(path.read_text())
+        payload["hyperparams"]["log_noise_std"] += 0.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataLoadError, match="config_hash") as err:
+            load_expert_pool(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_config_hash_rejected(self, pool_dir):
+        path = pool_dir / "sources.json"
+        payload = json.loads(path.read_text())
+        del payload["config_hash"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataLoadError, match="config_hash"):
+            load_expert_pool(path)
 
 
 class TestBundle:
