@@ -20,7 +20,7 @@ data = Dataset(X=X, Y=Y, domain_id="demo")
 print(f"true hyperparameters : {true}")
 
 # ---------------------------------------------------------------------------
-# Fit by gradient ascent on the log marginal likelihood
+# Fit by L-BFGS-B on the log marginal likelihood
 # ---------------------------------------------------------------------------
 result = fit_detailed([data])
 print(f"fitted               : {result.hyper}")

@@ -48,7 +48,6 @@ from .gp_core import (
     Dataset,
     Expert,
     FitResult,
-    OptimizerOptions,
     PosteriorPrediction,
     default_init,
     fit,
@@ -67,7 +66,7 @@ __all__ = [
     "__version__",
     # kernel / core GP
     "Hyperparams", "kernel_eval", "kernel_matrix", "squared_distances",
-    "Dataset", "Expert", "PosteriorPrediction", "OptimizerOptions", "FitResult",
+    "Dataset", "Expert", "PosteriorPrediction", "FitResult",
     "log_marginal_likelihood", "default_init", "fit", "fit_detailed",
     "train_expert", "posterior",
     # adaptation

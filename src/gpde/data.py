@@ -55,39 +55,53 @@ _WARP_RADIUS = 2.5  # radius of the stationary core (covers the target region)
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Stripped header and numbered data rows of a schema CSV, ``#`` comment
+    lines skipped."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [
+                (lineno, row)
+                for lineno, row in enumerate(csv.reader(fh), start=1)
+                if row and not row[0].lstrip().startswith("#")
+            ]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataLoadError(f"{path}: not a readable CSV file ({exc})") from None
+    if not rows:
+        raise DataLoadError(f"{path}: empty file")
+    return [c.strip() for c in rows[0][1]], rows[1:]
+
+
+def _parse_row(path, lineno: int, fields: list[str]) -> list[float]:
+    """A row's fields as finite floats, or a :class:`DataLoadError` naming the row."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise DataLoadError(f"{path}: row {lineno}: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise DataLoadError(f"{path}: row {lineno} contains NaN/Inf")
+    return values
+
+
 def load_dataset(path, domain_id: str | None = None) -> Dataset:
     """Load a feature/label CSV into a validated :class:`Dataset`.
 
     Raises :class:`DataLoadError` naming the offending row for malformed
     values, NaN/Inf entries, or labels outside {-1, 0, 1}.
     """
-    with open(path, newline="") as fh:
-        rows = [
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(fh), start=1)
-            if row and not row[0].lstrip().startswith("#")
-        ]
-    if not rows:
-        raise DataLoadError(f"{path}: empty file")
-    _, header = rows[0]
-    header = [c.strip() for c in header]
+    header, rows = _read_csv(path)
     n_feat = sum(1 for c in header if c.startswith("f"))
     n_lab = sum(1 for c in header if c.startswith("y"))
     expected = [f"f{i}" for i in range(n_feat)] + [f"y{i}" for i in range(n_lab)]
     if n_feat < 1 or n_lab < 1 or header != expected:
         raise DataLoadError(f"{path}: header must be f0..f{{D-1}},y0..y{{C-1}}, got {header}")
     X_rows, Y_rows = [], []
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != n_feat + n_lab:
             raise DataLoadError(
                 f"{path}: row {lineno} has {len(row)} fields, expected {n_feat + n_lab}"
             )
-        try:
-            values = [float(v) for v in row]
-        except ValueError as exc:
-            raise DataLoadError(f"{path}: row {lineno}: {exc}") from None
-        if not np.all(np.isfinite(values)):
-            raise DataLoadError(f"{path}: row {lineno} contains NaN/Inf")
+        values = _parse_row(path, lineno, row)
         labels = values[n_feat:]
         bad = [v for v in labels if v not in _ALLOWED_LABELS]
         if bad:
@@ -109,29 +123,15 @@ def load_dataset(path, domain_id: str | None = None) -> Dataset:
 def load_features(path) -> np.ndarray:
     """Load only the feature columns of a CSV; label columns, if present, are
     ignored so prediction inputs can omit them."""
-    with open(path, newline="") as fh:
-        rows = [
-            (lineno, [c.strip() for c in row])
-            for lineno, row in enumerate(csv.reader(fh), start=1)
-            if row and not row[0].lstrip().startswith("#")
-        ]
-    if not rows:
-        raise DataLoadError(f"{path}: empty file")
-    _, header = rows[0]
+    header, rows = _read_csv(path)
     n_feat = sum(1 for c in header if c.startswith("f"))
     if n_feat < 1 or header[:n_feat] != [f"f{i}" for i in range(n_feat)]:
         raise DataLoadError(f"{path}: header must start with f0..f{{D-1}}, got {header}")
     X_rows = []
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) < n_feat:
             raise DataLoadError(f"{path}: row {lineno} has {len(row)} fields, expected >= {n_feat}")
-        try:
-            values = [float(v) for v in row[:n_feat]]
-        except ValueError as exc:
-            raise DataLoadError(f"{path}: row {lineno}: {exc}") from None
-        if not np.all(np.isfinite(values)):
-            raise DataLoadError(f"{path}: row {lineno} contains NaN/Inf")
-        X_rows.append(values)
+        X_rows.append(_parse_row(path, lineno, [c.strip() for c in row[:n_feat]]))
     if not X_rows:
         raise DataLoadError(f"{path}: no data rows")
     return np.array(X_rows)
@@ -346,27 +346,31 @@ def save_shift_config(path, cfg: ShiftConfig) -> None:
 def load_shift_config(path, **overrides) -> ShiftConfig:
     """Parse a flat ``key = value`` file into a :class:`ShiftConfig`."""
     known = {f.name: f.type for f in fields(ShiftConfig)}
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a readable config file ({exc})") from None
     values: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in known:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                if key in ("shift_magnitude", "label_complexity"):
-                    values[key] = float(raw)
-                elif key == "mode":
-                    values[key] = raw
-                else:
-                    values[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: bad value {raw!r} for {key}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in known:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            if key in ("shift_magnitude", "label_complexity"):
+                values[key] = float(raw)
+            elif key == "mode":
+                values[key] = raw
+            else:
+                values[key] = int(raw)
+        except ValueError:
+            raise ConfigError(f"{path}: line {lineno}: bad value {raw!r} for {key}") from None
     cfg = ShiftConfig(**values)
     return replace(cfg, **overrides) if overrides else cfg
 

@@ -5,8 +5,9 @@ Training maximizes the log-marginal likelihood
     L(h) = -1/2 tr[(K + noise^2 I)^-1 Y Y^T]
            - C/2 log|K + noise^2 I| - N*C/2 log(2*pi)
 
-over the three hyperparameters, by gradient ascent in log-space with a
-backtracking (sufficient-increase) line search.  A trained :class:`Expert`
+over the three hyperparameters in log-space with SciPy's L-BFGS-B, run from
+two starts (the scale-matching default and the same point with a quarter of
+its length-scale); the higher optimum wins.  A trained :class:`Expert`
 caches the Cholesky factor of ``K + noise^2 I`` and the solve against the
 label matrix, so prediction reduces to triangular solves.
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import minimize
 
 from .exceptions import InvalidInputError, NumericalError
 from .kernel import Hyperparams, kernel_matrix, squared_distances
@@ -32,7 +34,6 @@ __all__ = [
     "Dataset",
     "Expert",
     "PosteriorPrediction",
-    "OptimizerOptions",
     "FitResult",
     "log_marginal_likelihood",
     "default_init",
@@ -48,6 +49,13 @@ logger = logging.getLogger(__name__)
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 JITTER_GROWTH = 10.0
+
+# Hyperparameter fit: iteration cap per start, and the gradient norm below
+# which a fit counts as converged.
+MAX_ITER = 200
+GRAD_TOL = 1e-5
+# Length-scale of the second start, relative to the first.
+SECOND_START_ELL = 0.25
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -120,18 +128,6 @@ class PosteriorPrediction:
 
     mean: np.ndarray
     variance: np.ndarray
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Settings for the gradient-ascent fit."""
-
-    max_iter: int = 200
-    grad_tol: float = 1e-5
-    sufficient_increase: float = 1e-4
-    min_step: float = 1e-14
-    step_growth: float = 2.0
-    max_step: float = 10.0
 
 
 @dataclass
@@ -246,116 +242,71 @@ def _validate_fit_inputs(datasets: list[Dataset]):
             )
 
 
-def fit_detailed(
-    datasets: list[Dataset],
-    init: Hyperparams | None = None,
-    opts: OptimizerOptions | None = None,
-) -> FitResult:
+def fit_detailed(datasets: list[Dataset], init: Hyperparams | None = None) -> FitResult:
     """Maximize the summed log-marginal likelihood of ``datasets`` over one
     shared hyperparameter triple.
 
-    Gradient ascent in log-space with a backtracking line search under a
-    sufficient-increase condition; the accepted-objective trace is
-    non-decreasing by construction.  A single-element list is ordinary GP
-    training.
+    L-BFGS-B in log-space, run from ``init`` (default :func:`default_init`)
+    and from the same point with its length-scale times ``SECOND_START_ELL``;
+    the higher optimum wins.  The second start keeps the fit off the
+    ``signal_std -> 0`` plateau that a single start can slide onto.  The
+    trace is the winning start's objective per iteration, non-decreasing;
+    ``n_iter`` counts the iterations of both starts.  A single-element list is
+    ordinary GP training.
     """
     _validate_fit_inputs(datasets)
-    opts = opts or OptimizerOptions()
     h0 = init or default_init(datasets)
     parts = [(squared_distances(d.X), d.Y) for d in datasets]
 
-    def value(z: np.ndarray):
-        """Summed objective at ``z``, plus what :func:`gradient` needs there."""
-        h = Hyperparams.from_log(z)
-        total, factors = 0.0, []
-        for sq, Y in parts:
-            v, f = _lml_value(sq, Y, h)
-            total += v
-            factors.append(f)
-        return total, (h, factors)
+    def ascend(z0: np.ndarray):
+        """One L-BFGS-B run from ``z0``: its result and its objective trace."""
+        trace: list[float] = []
 
-    def value_only(z: np.ndarray):
-        try:
-            return value(z)
-        except (NumericalError, InvalidInputError, OverflowError):
-            # overflow/underflow of exp(z) or signal_std**2, or a failed
-            # factorization: reject the step
-            return -np.inf, None
+        def negative(z: np.ndarray):
+            """Negated summed objective and gradient at ``z``; each matrix is
+            factorized once, for the value and the gradient together."""
+            try:
+                h = Hyperparams.from_log(z)
+                total, grad = 0.0, np.zeros(3)
+                for sq, Y in parts:
+                    value, factors = _lml_value(sq, Y, h)
+                    total += value
+                    grad += _lml_grad(sq, h, *factors)
+            except (NumericalError, InvalidInputError, OverflowError):
+                # overflow/underflow of exp(z) or signal_std**2, or a failed
+                # factorization: a point the line search must back away from
+                total, grad = -np.inf, np.zeros(3)
+            if not trace:  # the optimizer's first evaluation is at z0
+                trace.append(total)
+            return -total, -grad
 
-    def gradient(state) -> np.ndarray:
-        # from the factors the value was computed with: each point is
-        # factorized once, whether it was the start or an accepted trial
-        h, factors = state
-        grad = np.zeros(3)
-        for (sq, _), f in zip(parts, factors):
-            grad += _lml_grad(sq, h, *f)
-        return grad
+        # ftol=0: stop on the gradient tolerance, not on a small relative decrease
+        res = minimize(negative, z0, jac=True, method="L-BFGS-B",
+                       callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
+                       options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 0.0})
+        return res, trace
 
-    z = h0.to_log()
-    f, state = value(z)
-    g = gradient(state)
-    if not np.isfinite(f):
+    z0 = h0.to_log()
+    best, trace = ascend(z0)
+    if not np.isfinite(trace[0]):
         raise InvalidInputError(f"objective is non-finite at the initial hyperparameters {h0}")
-    trace = [f]
-    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
-    z_prev = g_prev = None
-    converged = False
-    n_iter = 0
-    for n_iter in range(opts.max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < opts.grad_tol:
-            converged = True
-            break
-        # Spectral (Barzilai-Borwein) trial step; curvature along the last
-        # accepted move sets the scale, which avoids the slow zigzag of a
-        # fixed-growth step near ill-conditioned optima.
-        if z_prev is not None:
-            dz = z - z_prev
-            dg = g - g_prev
-            curv = -float(dz @ dg)  # positive where the objective is locally concave
-            if curv > 0:
-                step = float(dz @ dz) / curv
-            else:
-                step *= opts.step_growth
-        step = float(np.clip(step, opts.min_step, opts.max_step))
-        accepted = False
-        s = step
-        gg = gnorm**2
-        while s >= opts.min_step:
-            z_try = z + s * g
-            f_try, state = value_only(z_try)
-            if np.isfinite(f_try) and f_try >= f + opts.sufficient_increase * s * gg:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:  # line search exhausted: no ascent direction progress
-            break
-        z_prev, g_prev = z, g
-        z, f = z_try, f_try
-        g = gradient(state)
-        trace.append(f)
-        step = s
-    else:
-        n_iter = opts.max_iter
-    if not converged and float(np.linalg.norm(g)) < opts.grad_tol:
-        converged = True
+    second, second_trace = ascend(z0 + [np.log(SECOND_START_ELL), 0.0, 0.0])
+    n_iter = best.nit + second.nit
+    if second.fun < best.fun:
+        best, trace = second, second_trace
     return FitResult(
-        hyper=Hyperparams.from_log(z),
-        objective=f,
-        converged=converged,
+        hyper=Hyperparams.from_log(best.x),
+        objective=-float(best.fun),
+        converged=bool(np.linalg.norm(best.jac) < GRAD_TOL),
         n_iter=n_iter,
         trace=trace,
     )
 
 
-def fit(
-    datasets: list[Dataset],
-    init: Hyperparams | None = None,
-    opts: OptimizerOptions | None = None,
-) -> Hyperparams:
+def fit(datasets: list[Dataset], init: Hyperparams | None = None) -> Hyperparams:
     """Like :func:`fit_detailed` but returns only the hyperparameters,
     warning when the iteration cap was hit before the gradient tolerance."""
-    result = fit_detailed(datasets, init=init, opts=opts)
+    result = fit_detailed(datasets, init=init)
     if not result.converged:
         warnings.warn(
             f"fit stopped after {result.n_iter} iterations without reaching the "

@@ -55,7 +55,7 @@ def _read_json(path, kind: str) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataLoadError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise DataLoadError(f"{path}: expected a JSON object, got {type(payload).__name__}")

@@ -330,6 +330,27 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "sources.json" in err and "config_hash" in err
 
+    @pytest.mark.parametrize("command, name, content", [
+        ("train-target", "bad.csv", b"f0,y0\n\xff\xfe,1\n"),
+        ("train-target", "bad.csv", b"f0,y0\n" + b"1" * 131073 + b",1\n"),
+        ("predict", "bad.json", b'{"kind": "\xff\xfe"}\n'),
+        ("predict", "deep.json", b"[" * 100000 + b"]" * 100000),
+        ("synth", "bad.txt", b"seed = \xff\xfe\n"),
+    ], ids=["csv-invalid-utf8", "csv-oversized-field", "json-invalid-utf8",
+            "json-too-deep", "config-invalid-utf8"])
+    def test_unreadable_input_is_an_error_not_a_crash(self, corpus, tmp_path, capsys,
+                                                       command, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        argv = {
+            "train-target": ("--target", bad, "--out", tmp_path / "t.json"),
+            "predict": ("--model", bad, "--data", corpus / "target_test.csv"),
+            "synth": ("--config", bad, "--out", tmp_path / "corpus"),
+        }[command]
+        assert run_cli(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+
     def test_train_source_on_bad_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,y0\n0.1,0.5\n")
