@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import blas_threads
 from .adaptation import AdaptedExpert
 from .exceptions import InvalidInputError
 from .gp_core import Dataset, Expert, fit, posterior, train_expert
@@ -246,10 +247,11 @@ def predict(model: GpdeModel, X_star) -> FusedPrediction:
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star[None, :]
-    preds = _per_expert_predictions(model, X_star)
-    means = [p.mean for p in preds]
-    variances = [p.variance for p in preds]
-    mean, variance = fuse(means, variances, model.betas)
+    with blas_threads(1):
+        preds = _per_expert_predictions(model, X_star)
+        means = [p.mean for p in preds]
+        variances = [p.variance for p in preds]
+        mean, variance = fuse(means, variances, model.betas)
     return FusedPrediction(
         mean=mean,
         variance=variance,
@@ -269,7 +271,8 @@ def expert_weights(model: GpdeModel, x_star) -> np.ndarray:
     x_star = np.asarray(x_star, dtype=float)
     single = x_star.ndim == 1
     X = x_star[None, :] if single else x_star
-    preds = _per_expert_predictions(model, X)
+    with blas_threads(1):
+        preds = _per_expert_predictions(model, X)
     precisions = np.stack(
         [model.betas[i] / np.maximum(p.variance, VARIANCE_FLOOR) for i, p in enumerate(preds)],
         axis=1,

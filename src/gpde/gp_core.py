@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
+from ._blas import blas_threads
 from .exceptions import InvalidInputError, NumericalError
 from .kernel import Hyperparams, kernel_matrix, squared_distances
 
@@ -50,8 +51,9 @@ JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 JITTER_GROWTH = 10.0
 
-# Hyperparameter fit: iteration cap per start, and the gradient norm below
-# which a fit counts as converged.
+# Hyperparameter fit: iteration cap per start, and L-BFGS-B's stopping
+# tolerance on the largest gradient component, below which a fit counts as
+# converged.
 MAX_ITER = 200
 GRAD_TOL = 1e-5
 # Length-scale of the second start, relative to the first.
@@ -132,13 +134,19 @@ class PosteriorPrediction:
 
 @dataclass
 class FitResult:
-    """Outcome of :func:`fit_detailed`: best hyperparameters plus diagnostics."""
+    """Outcome of :func:`fit_detailed`: best hyperparameters plus diagnostics.
+
+    ``converged`` is L-BFGS-B's own stopping test at the winning optimum,
+    ``max |gradient| <= GRAD_TOL`` in log-space; ``message`` is its stop
+    message.
+    """
 
     hyper: Hyperparams
     objective: float
     converged: bool
     n_iter: int
     trace: list[float] = field(default_factory=list)
+    message: str = ""
 
 
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -255,6 +263,12 @@ def fit_detailed(datasets: list[Dataset], init: Hyperparams | None = None) -> Fi
     ordinary GP training.
     """
     _validate_fit_inputs(datasets)
+    with blas_threads(1):
+        return _fit(datasets, init)
+
+
+def _fit(datasets: list[Dataset], init: Hyperparams | None) -> FitResult:
+    """:func:`fit_detailed` on validated inputs."""
     h0 = init or default_init(datasets)
     parts = [(squared_distances(d.X), d.Y) for d in datasets]
 
@@ -297,20 +311,24 @@ def fit_detailed(datasets: list[Dataset], init: Hyperparams | None = None) -> Fi
     return FitResult(
         hyper=Hyperparams.from_log(best.x),
         objective=-float(best.fun),
-        converged=bool(np.linalg.norm(best.jac) < GRAD_TOL),
+        converged=bool(np.max(np.abs(best.jac)) <= GRAD_TOL),
         n_iter=n_iter,
         trace=trace,
+        message=str(best.message),
     )
 
 
 def fit(datasets: list[Dataset], init: Hyperparams | None = None) -> Hyperparams:
     """Like :func:`fit_detailed` but returns only the hyperparameters,
-    warning when the iteration cap was hit before the gradient tolerance."""
+    warning when the fit stopped before the gradient tolerance."""
     result = fit_detailed(datasets, init=init)
     if not result.converged:
         warnings.warn(
-            f"fit stopped after {result.n_iter} iterations without reaching the "
-            f"gradient tolerance; returning the best iterate (objective {result.objective:.6g})",
+            f"fit of domains {[d.domain_id for d in datasets]} "
+            f"(N={sum(d.n for d in datasets)}) stopped after "
+            f"{result.n_iter} iterations without reaching the gradient tolerance "
+            f"({result.message}); returning the best iterate "
+            f"(objective {result.objective:.6g})",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -319,10 +337,11 @@ def fit(datasets: list[Dataset], init: Hyperparams | None = None) -> Hyperparams
 
 def train_expert(data: Dataset, h: Hyperparams) -> Expert:
     """Factorize ``K + noise^2 I`` for ``data`` and cache the label solve."""
-    K = kernel_matrix(data.X, h=h)
-    Kn = K + h.noise_std**2 * np.eye(data.n)
-    L, jitter = cholesky_with_jitter(Kn)
-    alpha = cho_solve((L, True), data.Y, check_finite=False)
+    with blas_threads(1):
+        K = kernel_matrix(data.X, h=h)
+        Kn = K + h.noise_std**2 * np.eye(data.n)
+        L, jitter = cholesky_with_jitter(Kn)
+        alpha = cho_solve((L, True), data.Y, check_finite=False)
     return Expert(data=data, hyper=h, chol=L, alpha=alpha, jitter=jitter)
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
 from gpde import (
+    BenchmarkSpec,
     Dataset,
     Hyperparams,
     InvalidInputError,
@@ -16,6 +19,7 @@ from gpde import (
     pca_apply,
     pca_fit,
     posterior,
+    run_benchmark,
     synth_shift,
     train_expert,
 )
@@ -148,6 +152,28 @@ class TestFit:
         monkeypatch.setattr(gp_core, "MAX_ITER", 1)
         with pytest.warns(RuntimeWarning):
             fit([data])
+
+    def test_fit_warning_names_the_fit(self, rng, monkeypatch):
+        da = random_dataset(rng, n=10, d=2, c=1, domain_id="dom_a")
+        db = random_dataset(rng, n=7, d=2, c=1, domain_id="dom_b")
+        monkeypatch.setattr(gp_core, "MAX_ITER", 1)
+        message = fit_detailed([da, db]).message
+        assert message
+        with pytest.warns(RuntimeWarning) as record:
+            fit([da, db])
+        text = str(record[0].message)
+        assert "['dom_a', 'dom_b']" in text and "N=17" in text and message in text
+
+    def test_optimizer_converged_fit_does_not_warn(self):
+        # Fold 0's 10-row target fit on the benchmark's protocol corpus
+        # (objective -20.787, 64 iterations) stops on L-BFGS-B's test
+        # max|grad| <= GRAD_TOL with a 2-norm just above it; that is convergence.
+        sources, train, test = synth_shift(ShiftConfig(samples_per_domain=60))
+        pool = Dataset(np.vstack([train.X, test.X]), np.vstack([train.Y, test.Y]), "pool")
+        spec = BenchmarkSpec(folds=2, seed=998266396, schedule=(10, 30, 50, 100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_benchmark(spec, source_datasets=sources, target_pool=pool)
 
     def test_overflowing_trial_step_is_rejected(self):
         # The shared source fit of fold 0 of the synthetic benchmark with
