@@ -38,7 +38,6 @@ from .experts import (
     fuse,
     hard_labels,
     predict,
-    retarget,
     train_gpde,
     train_source_experts,
     train_target_expert,
@@ -56,16 +55,16 @@ from .gp_core import (
     posterior,
     train_expert,
 )
-from .kernel import Hyperparams, kernel_eval, kernel_matrix, squared_distances
+from .kernel import Hyperparams, kernel_matrix, squared_distances
 from .metrics import MetricReport, auc_roc, classification_rate, f1_score, multilabel_report
-from .model_io import load_bundle, load_expert_pool, load_experts, save_bundle, save_expert_pool
+from .model_io import load_bundle, load_experts, save_bundle, save_expert_pool
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # kernel / core GP
-    "Hyperparams", "kernel_eval", "kernel_matrix", "squared_distances",
+    "Hyperparams", "kernel_matrix", "squared_distances",
     "Dataset", "Expert", "PosteriorPrediction", "FitResult",
     "log_marginal_likelihood", "default_init", "fit", "fit_detailed",
     "train_expert", "posterior",
@@ -73,7 +72,7 @@ __all__ = [
     "AdaptedExpert", "adapted_posterior",
     # experts / fusion
     "GpdeModel", "FusedPrediction", "uniform_betas", "fuse", "hard_labels",
-    "train_source_experts", "train_target_expert", "train_gpde", "retarget",
+    "train_source_experts", "train_target_expert", "train_gpde",
     "predict", "expert_weights",
     # metrics
     "MetricReport", "classification_rate", "f1_score", "auc_roc", "multilabel_report",
@@ -81,7 +80,7 @@ __all__ = [
     "load_dataset", "load_features", "save_dataset", "PcaProjector", "pca_fit", "pca_apply",
     "ShiftConfig", "synth_shift", "load_shift_config", "save_shift_config", "config_hash",
     # serialization
-    "save_expert_pool", "load_expert_pool", "load_experts", "save_bundle", "load_bundle",
+    "save_expert_pool", "load_experts", "save_bundle", "load_bundle",
     # benchmark
     "BenchmarkSpec", "BenchRow", "BenchmarkResult", "run_benchmark", "write_result_table",
     # errors

@@ -75,6 +75,8 @@ class BenchmarkSpec:
             raise ConfigError("schedule entries must be >= 1")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("multilabel", "multiclass"):
             raise ConfigError(f"mode must be multilabel or multiclass, got {self.mode!r}")
         if self.metrics is not None:

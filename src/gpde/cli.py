@@ -26,7 +26,7 @@ from . import __version__
 from .bench import METHODS, METRICS, BenchmarkSpec, run_benchmark, write_result_table
 from .data import (ShiftConfig, config_hash, load_dataset, load_features,
                    load_shift_config, save_dataset, save_shift_config, synth_shift)
-from .exceptions import GpdeError
+from .exceptions import ConfigError, GpdeError
 from .experts import MODES, expert_weights, predict
 from .gp_core import fit
 from .model_io import load_bundle, save_bundle, save_expert_pool
@@ -117,9 +117,13 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    try:
+        schedule = tuple(int(v) for v in _split_list(args.nt))
+    except ValueError as exc:
+        raise ConfigError(f"--nt entries must be integers: {exc}") from None
     spec = BenchmarkSpec(
         methods=tuple(_split_list(args.methods)),
-        schedule=tuple(int(v) for v in _split_list(args.nt)),
+        schedule=schedule,
         folds=args.folds,
         metrics=tuple(_split_list(args.metrics)) if args.metrics else None,
         mode=args.mode,

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .exceptions import ConfigError, DataLoadError, InvalidInputError
+from .experts import hard_labels
 from .gp_core import Dataset
 
 __all__ = [
@@ -65,7 +66,7 @@ def _read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
                 for lineno, row in enumerate(csv.reader(fh), start=1)
                 if row and not row[0].lstrip().startswith("#")
             ]
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (ValueError, csv.Error) as exc:  # ValueError: bad UTF-8, NUL in path
         raise DataLoadError(f"{path}: not a readable CSV file ({exc})") from None
     if not rows:
         raise DataLoadError(f"{path}: empty file")
@@ -238,6 +239,8 @@ class ShiftConfig:
             raise ConfigError(f"mode must be multilabel or multiclass, got {self.mode!r}")
         if self.mode == "multiclass" and self.n_outputs < 2:
             raise ConfigError("multiclass mode needs n_outputs >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def latent_label_fn(cfg: ShiftConfig):
@@ -269,14 +272,6 @@ def latent_label_fn(cfg: ShiftConfig):
     return score
 
 
-def _labels_from_scores(scores: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "multilabel":
-        return np.where(scores >= 0.0, 1.0, -1.0)
-    labels = -np.ones_like(scores)
-    labels[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
-    return labels
-
-
 def _domain_transform(cfg: ShiftConfig, domain_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Rotation matrix and translation vector for one source domain."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, domain_index]))
@@ -299,7 +294,7 @@ def _sample_domain(cfg: ShiftConfig, stream: int, n: int, rotation, translation,
         X = rng.standard_normal((n, cfg.dims))
         if rotation is not None:
             X = X @ rotation.T + translation
-        Y = _labels_from_scores(score_fn(X), cfg.mode)
+        Y = hard_labels(score_fn(X), cfg.mode)
         if np.all(np.any(Y > 0, axis=0) & np.any(Y < 0, axis=0)):
             if attempt:
                 logger.info("domain %s: regenerated %d time(s) to get both classes",

@@ -35,7 +35,6 @@ __all__ = [
     "train_source_experts",
     "train_target_expert",
     "train_gpde",
-    "retarget",
     "fuse",
     "hard_labels",
     "predict",
@@ -100,16 +99,6 @@ class GpdeModel:
     def n_experts(self) -> int:
         return len(self.sources) + (1 if self.target is not None else 0)
 
-    @property
-    def dim(self) -> int:
-        first = self.sources[0] if self.sources else self.target
-        return first.data.dim
-
-    @property
-    def n_outputs(self) -> int:
-        first = self.sources[0] if self.sources else self.target
-        return first.data.n_outputs
-
 
 @dataclass(frozen=True)
 class FusedPrediction:
@@ -159,13 +148,6 @@ def train_gpde(
     if betas is None:
         betas = uniform_betas(len(source_experts) + (1 if target is not None else 0))
     return GpdeModel(sources=source_experts, target=target, betas=betas, mode=mode)
-
-
-def retarget(model: GpdeModel, target_dataset: Dataset) -> GpdeModel:
-    """Adapt a trained pool to a new target domain, reusing the source
-    experts unchanged."""
-    target = train_target_expert(target_dataset)
-    return GpdeModel(sources=model.sources, target=target, betas=model.betas, mode=model.mode)
 
 
 def fuse(
@@ -225,30 +207,21 @@ def hard_labels(mean: np.ndarray, mode: str) -> np.ndarray:
     raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _per_expert_predictions(model: GpdeModel, X_star: np.ndarray):
-    """Adapted source predictions plus the target expert's own, in model order.
-
-    Without a target expert there is nothing to condition on, so the source
-    experts predict unadapted.
-    """
-    preds = []
-    for src in model.sources:
-        if model.target is not None:
-            preds.append(AdaptedExpert(src, model.target.data).posterior(X_star))
-        else:
-            preds.append(posterior(src, X_star))
-    if model.target is not None:
-        preds.append(posterior(model.target, X_star))
-    return preds
-
-
 def predict(model: GpdeModel, X_star) -> FusedPrediction:
-    """Fused prediction at ``X_star`` with per-expert detail and hard labels."""
+    """Fused prediction at ``X_star`` with per-expert detail and hard labels.
+
+    Source experts are conditioned on the target expert's data; without a
+    target expert there is nothing to condition on, so they predict unadapted.
+    """
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star[None, :]
+    target = model.target
     with blas_threads(1):
-        preds = _per_expert_predictions(model, X_star)
+        preds = [posterior(src, X_star) if target is None
+                 else AdaptedExpert(src, target.data).posterior(X_star) for src in model.sources]
+        if target is not None:
+            preds.append(posterior(target, X_star))
         means = [p.mean for p in preds]
         variances = [p.variance for p in preds]
         mean, variance = fuse(means, variances, model.betas)
@@ -263,19 +236,15 @@ def predict(model: GpdeModel, X_star) -> FusedPrediction:
 
 def expert_weights(model: GpdeModel, x_star) -> np.ndarray:
     """Per-expert importance at the query points: beta_i / var_i, normalized
-    to sum to 1 (sources first, target last).
+    to sum to 1 (sources first, target last), from :func:`predict`'s
+    per-expert variances.
 
     Accepts a single point (returns shape ``(n_experts,)``) or a batch
     (returns ``(M_test, n_experts)``).
     """
-    x_star = np.asarray(x_star, dtype=float)
-    single = x_star.ndim == 1
-    X = x_star[None, :] if single else x_star
-    with blas_threads(1):
-        preds = _per_expert_predictions(model, X)
+    variances = predict(model, x_star).per_expert_variances
     precisions = np.stack(
-        [model.betas[i] / np.maximum(p.variance, VARIANCE_FLOOR) for i, p in enumerate(preds)],
-        axis=1,
+        [b / np.maximum(v, VARIANCE_FLOOR) for b, v in zip(model.betas, variances)], axis=1
     )
     weights = precisions / precisions.sum(axis=1, keepdims=True)
-    return weights[0] if single else weights
+    return weights[0] if np.ndim(x_star) == 1 else weights

@@ -1,4 +1,4 @@
-"""Isotropic RBF covariance: pointwise and batched evaluation.
+"""Isotropic RBF covariance matrices.
 
 The kernel is
 
@@ -19,7 +19,6 @@ from .exceptions import InvalidInputError
 
 __all__ = [
     "Hyperparams",
-    "kernel_eval",
     "kernel_matrix",
     "squared_distances",
 ]
@@ -96,25 +95,6 @@ def squared_distances(X: np.ndarray, X_prime: np.ndarray | None = None) -> np.nd
         sq = 0.5 * (sq + sq.T)
         np.fill_diagonal(sq, 0.0)
     return sq
-
-
-def kernel_eval(x, x_prime, h: Hyperparams) -> float:
-    """Evaluate k(x, x') for two single points.
-
-    Returns a value in ``(0, signal_std**2]``; the upper bound is attained at
-    zero distance.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    x_prime = np.asarray(x_prime, dtype=float).ravel()
-    if x.shape != x_prime.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: x has D={x.size}, x_prime has D={x_prime.size}"
-        )
-    if x.size == 0:
-        raise InvalidInputError("inputs must have D >= 1")
-    diff = x - x_prime
-    sq = float(diff @ diff)
-    return float(h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2))
 
 
 def kernel_matrix(X, X_prime=None, *, h: Hyperparams) -> np.ndarray:

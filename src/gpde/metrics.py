@@ -71,37 +71,23 @@ def auc_roc(scores, true) -> float:
 class MetricReport:
     """Per-label and macro-averaged results for one evaluation.
 
-    ``classification_rate`` is None in multi-label mode.  Labels whose AUC is
-    undefined on the evaluated sample (single class) are reported as NaN and
-    skipped by the macro average.
+    Labels whose AUC is undefined on the evaluated sample (single class) are
+    reported as NaN and skipped by the macro average.
     """
 
-    classification_rate: float | None
     per_label_f1: np.ndarray
     per_label_auc: np.ndarray
     macro_f1: float
     macro_auc: float
 
-    def as_dict(self) -> dict[str, float]:
-        out = {"macro_f1": self.macro_f1, "macro_auc": self.macro_auc}
-        for c, (f1, auc) in enumerate(zip(self.per_label_f1, self.per_label_auc)):
-            out[f"f1_{c}"] = float(f1)
-            out[f"auc_{c}"] = float(auc)
-        if self.classification_rate is not None:
-            out["cr"] = self.classification_rate
-        return out
 
-
-def multilabel_report(true_labels, pred_labels, scores, *, classes_true=None,
-                      classes_pred=None) -> MetricReport:
-    """Evaluate per-label F1/AUC; optionally include multi-class CR.
+def multilabel_report(true_labels, pred_labels, scores) -> MetricReport:
+    """Evaluate per-label F1/AUC.
 
     Parameters
     ----------
     true_labels, pred_labels : (N x C) arrays in {-1, +1}
     scores : (N x C) array of real-valued decision scores (for AUC)
-    classes_true, classes_pred : optional (N,) class-id vectors; when given,
-        the exact-match classification rate is included.
     """
     true_labels = np.atleast_2d(np.asarray(true_labels, dtype=float))
     pred_labels = np.atleast_2d(np.asarray(pred_labels, dtype=float))
@@ -117,11 +103,7 @@ def multilabel_report(true_labels, pred_labels, scores, *, classes_true=None,
             auc[c] = auc_roc(scores[:, c], true_labels[:, c])
         except UndefinedMetricError:
             auc[c] = np.nan
-    cr = None
-    if classes_true is not None and classes_pred is not None:
-        cr = classification_rate(classes_pred, classes_true)
     return MetricReport(
-        classification_rate=cr,
         per_label_f1=f1,
         per_label_auc=auc,
         macro_f1=float(np.mean(f1)),

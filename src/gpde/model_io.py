@@ -21,12 +21,11 @@ import numpy as np
 from .data import load_dataset
 from .exceptions import DataLoadError
 from .experts import GpdeModel, uniform_betas
-from .gp_core import Dataset, Expert, train_expert
+from .gp_core import Expert, train_expert
 from .kernel import Hyperparams
 
 __all__ = [
     "save_expert_pool",
-    "load_expert_pool",
     "load_experts",
     "save_bundle",
     "load_bundle",
@@ -55,7 +54,7 @@ def _read_json(path, kind: str) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8/JSON, NUL in path
         raise DataLoadError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise DataLoadError(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -90,8 +89,9 @@ def save_expert_pool(path, hyper: Hyperparams, dataset_paths: list[tuple[str, st
     })
 
 
-def load_expert_pool(path) -> tuple[Hyperparams, list[Dataset]]:
-    """Read a pool file and reload its referenced datasets."""
+def load_experts(path) -> list[Expert]:
+    """Read a pool file, reload its referenced datasets and rebuild their
+    experts (deterministic refactorization)."""
     payload = _read_json(path, POOL_KIND)
     try:
         hp = payload["hyperparams"]
@@ -99,18 +99,14 @@ def load_expert_pool(path) -> tuple[Hyperparams, list[Dataset]]:
             [hp["log_length_scale"], hp["log_signal_std"], hp["log_noise_std"]]
         )
         domains = [(d["domain_id"], d["path"]) for d in payload["domains"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataLoadError(f"{path}: malformed pool file ({exc})") from None
+    if not all(isinstance(v, str) for domain in domains for v in domain):
+        raise DataLoadError(f"{path}: malformed pool file: domain ids and paths must be strings")
     base = os.path.dirname(os.path.abspath(path))
     datasets = [
         load_dataset(os.path.join(base, p), domain_id=domain_id) for domain_id, p in domains
     ]
-    return hyper, datasets
-
-
-def load_experts(path) -> list[Expert]:
-    """Load a pool and rebuild its experts (deterministic refactorization)."""
-    hyper, datasets = load_expert_pool(path)
     return [train_expert(d, hyper) for d in datasets]
 
 
@@ -153,7 +149,7 @@ def load_bundle(path) -> GpdeModel:
         betas = uniform_betas(len(sources) + (1 if target else 0))
     try:
         betas = np.asarray(betas, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataLoadError(f"{path}: malformed betas ({exc})") from None
     return GpdeModel(sources=sources, target=target, betas=betas,
                      mode=payload.get("mode", "multilabel"))

@@ -20,6 +20,7 @@ from gpde.cli import main
 
 from conftest import with_config_hash
 
+CSV = object()  # in a pool's domain entry: the corpus path of source_0.csv
 SMALL_CFG = ShiftConfig(n_source_domains=2, samples_per_domain=40,
                         n_target_train=30, n_target_test=40, dims=2, seed=0)
 
@@ -43,6 +44,7 @@ class TestBenchmarkSpec:
         dict(metrics=("rmse",)),
         dict(energy=0.0),
         dict(energy=1.5),
+        dict(seed=-1),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigError):
@@ -290,18 +292,45 @@ class TestCliErrors:
                        "--metrics", "acc")
         assert code == 2
 
-    @pytest.mark.parametrize("bundle, domain_has_path, log_length_scale", [
-        ([1, 2], True, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, False, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json", "betas": "x"}, True, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": 5}, True, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, True, "x"),
+    @pytest.mark.parametrize("nt", ["10,abc", "5.5"])
+    def test_bench_schedule_not_integers_is_config_error(self, capsys, nt):
+        assert run_cli("bench", "--synth", "--nt", nt, "--folds", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--nt" in err and nt.split(",")[-1] in err
+
+    @pytest.mark.parametrize("command", [
+        ("synth", "--out", "corpus"),
+        ("bench", "--synth", "--folds", 1, "--nt", 5),
+    ], ids=["synth", "bench"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        argv = [tmp_path / a if a == "corpus" else a for a in command]
+        assert run_cli(*argv, "--seed", -1) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bundle, domain, log_length_scale", [
+        ([1, 2], {"path": CSV}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json", "betas": "x"}, {"path": CSV}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": 5}, {"path": CSV}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": CSV}, "x"),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": 5}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": None}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": ["a"]}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": "source\0.csv"}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"},
+         {"path": CSV, "domain_id": 5}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "p\0ool.json"}, {"path": CSV}, 0.0),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": CSV}, 10**400),
+        ({"kind": "gpde_model_bundle", "sources": "pool.json", "betas": [10**400]},
+         {"path": CSV}, 0.0),
     ], ids=["json-array", "domain-without-path", "string-betas", "numeric-pool-path",
-            "string-hyperparameter"])
+            "string-hyperparameter", "numeric-domain-path", "null-domain-path",
+            "list-domain-path", "nul-in-domain-path", "numeric-domain-id", "nul-in-pool-path",
+            "huge-int-hyperparameter", "huge-int-beta"])
     def test_predict_on_malformed_model_file(self, corpus, tmp_path, capsys, bundle,
-                                             domain_has_path, log_length_scale):
-        domain = {"domain_id": "source_0"}
-        if domain_has_path:
+                                             domain, log_length_scale):
+        domain = {"domain_id": "source_0", **domain}
+        if domain.get("path") is CSV:
             domain["path"] = str(corpus / "source_0.csv")
         # each file carries a valid config_hash, so the load reaches the defect
         (tmp_path / "pool.json").write_text(json.dumps(with_config_hash({

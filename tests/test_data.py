@@ -136,6 +136,8 @@ class TestShiftConfig:
             ShiftConfig(mode="other")
         with pytest.raises(ConfigError):
             ShiftConfig(mode="multiclass", n_outputs=1)
+        with pytest.raises(ConfigError, match="seed"):
+            ShiftConfig(seed=-1)
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = ShiftConfig(n_source_domains=2, seed=9, shift_magnitude=1.25)

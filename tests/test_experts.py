@@ -13,7 +13,6 @@ from gpde import (
     hard_labels,
     posterior,
     predict,
-    retarget,
     train_gpde,
     train_source_experts,
     train_target_expert,
@@ -181,7 +180,7 @@ class TestGpdeModel:
     def test_retarget_reuses_source_experts(self, rng):
         model = make_model(rng)
         new_target = random_dataset(rng, n=6, d=2, c=2, domain_id="t2")
-        remodel = retarget(model, new_target)
+        remodel = train_gpde([], new_target, source_experts=model.sources)
         assert all(a is b for a, b in zip(model.sources, remodel.sources))
         assert remodel.target is not model.target
         assert remodel.target.data.n == 6

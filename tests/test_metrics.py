@@ -121,11 +121,3 @@ class TestMultilabelReport:
         rep = multilabel_report(true, pred, rng.normal(size=(10, 2)))
         assert np.isnan(rep.per_label_auc[0])
         assert not np.isnan(rep.macro_auc)
-
-    def test_as_dict_round_trip(self, rng):
-        true = rng.choice([-1.0, 1.0], size=(20, 2))
-        pred = rng.choice([-1.0, 1.0], size=(20, 2))
-        rep = multilabel_report(true, pred, rng.normal(size=(20, 2)))
-        d = rep.as_dict()
-        assert d["macro_f1"] == rep.macro_f1
-        assert len([k for k in d if k.startswith("f1_")]) == 2

@@ -9,7 +9,6 @@ from gpde import (
     GpdeModel,
     Hyperparams,
     load_bundle,
-    load_expert_pool,
     load_experts,
     posterior,
     predict,
@@ -43,17 +42,18 @@ def pool_dir(tmp_path, rng):
 
 class TestExpertPool:
     def test_hyperparams_round_trip(self, pool_dir):
-        hyper, datasets = load_expert_pool(pool_dir / "sources.json")
+        experts = load_experts(pool_dir / "sources.json")
+        hyper = experts[0].hyper
+        assert all(e.hyper == hyper for e in experts)
         assert abs(hyper.length_scale - 1.3) < 1e-12
         assert abs(hyper.signal_std - 0.9) < 1e-12
         assert abs(hyper.noise_std - 0.2) < 1e-12
-        assert [d.domain_id for d in datasets] == ["source_0", "source_1"]
+        assert [e.data.domain_id for e in experts] == ["source_0", "source_1"]
 
     def test_relative_paths_survive_directory_move(self, pool_dir, tmp_path):
         moved = tmp_path / "elsewhere"
         shutil.move(str(pool_dir), str(moved))
-        hyper, datasets = load_expert_pool(moved / "sources.json")
-        assert len(datasets) == 2
+        assert len(load_experts(moved / "sources.json")) == 2
 
     def test_experts_rebuilt_deterministically(self, pool_dir, rng):
         e1 = load_experts(pool_dir / "sources.json")
@@ -66,7 +66,7 @@ class TestExpertPool:
 
     def test_wrong_kind_rejected(self, pool_dir):
         with pytest.raises(DataLoadError, match="kind"):
-            load_expert_pool(pool_dir / "targetpool.json")
+            load_experts(pool_dir / "targetpool.json")
             load_bundle(pool_dir / "sources.json")
         with pytest.raises(DataLoadError, match="kind"):
             load_bundle(pool_dir / "sources.json")
@@ -75,10 +75,10 @@ class TestExpertPool:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(DataLoadError):
-            load_expert_pool(bad)
+            load_experts(bad)
         bad.write_text(json.dumps(with_config_hash({"kind": "gpde_expert_pool"})))
         with pytest.raises(DataLoadError, match="malformed"):
-            load_expert_pool(bad)
+            load_experts(bad)
 
     def test_config_hash_embedded(self, pool_dir):
         payload = json.loads((pool_dir / "sources.json").read_text())
@@ -94,7 +94,7 @@ class TestExpertPool:
         payload["hyperparams"]["log_noise_std"] += 0.5
         path.write_text(json.dumps(payload))
         with pytest.raises(DataLoadError, match="config_hash") as err:
-            load_expert_pool(path)
+            load_experts(path)
         assert str(path) in str(err.value)
 
     def test_missing_config_hash_rejected(self, pool_dir):
@@ -103,7 +103,7 @@ class TestExpertPool:
         del payload["config_hash"]
         path.write_text(json.dumps(payload))
         with pytest.raises(DataLoadError, match="config_hash"):
-            load_expert_pool(path)
+            load_experts(path)
 
 
 class TestBundle:
