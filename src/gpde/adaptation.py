@@ -19,11 +19,11 @@ The correction only ever shrinks the predictive variance.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .exceptions import InvalidInputError
-from .gp_core import (Dataset, Expert, PosteriorPrediction, _as_queries, _posterior_with_solve,
-                      cholesky_with_jitter, posterior)
+from .gp_core import (Dataset, Expert, PosteriorPrediction, _as_queries, _factor,
+                      _posterior_with_solve, posterior)
 from .kernel import kernel_matrix
 
 __all__ = ["AdaptedExpert", "adapted_posterior"]
@@ -56,10 +56,8 @@ class AdaptedExpert:
         self._v_t = solve_triangular(source.chol, K_st, lower=True, check_finite=False)
         prior_cov = kernel_matrix(target.X, h=source.hyper) - self._v_t.T @ self._v_t
         prior_cov = 0.5 * (prior_cov + prior_cov.T)
-        noise_var = source.hyper.noise_std**2  # source noise, also on target observations
-        self._chol_t, self.jitter = cholesky_with_jitter(prior_cov + noise_var * np.eye(target.n))
-        self._correction = cho_solve((self._chol_t, True), target.Y - prior_mean,
-                                     check_finite=False)
+        self._chol_t, self._correction, self.jitter = _factor(  # source noise on target rows
+            prior_cov, source.hyper.noise_std**2, target.Y - prior_mean)
 
     def posterior(self, X_star) -> PosteriorPrediction:
         """Adapted predictive mean and variance at ``X_star`` (M x D)."""

@@ -58,22 +58,13 @@ def _split_list(tokens: list[str]) -> list[str]:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_train_source(args) -> int:
-    datasets = [load_dataset(p, domain_id=_domain_id(p)) for p in args.source]
+def _train_pool(args, paths: list[str]) -> int:
+    """Fit one hyperparameter triple over the CSVs at ``paths`` and write
+    their pool."""
+    datasets = [load_dataset(p, domain_id=_domain_id(p)) for p in paths]
     hyper = fit(datasets)
-    logger.info("shared source hyperparameters: %s", hyper)
-    save_expert_pool(args.out, hyper, [(_domain_id(p), p) for p in args.source],
-                     seed=args.seed)
-    print(args.out)
-    return 0
-
-
-def _cmd_train_target(args) -> int:
-    data = load_dataset(args.target, domain_id=_domain_id(args.target))
-    hyper = fit([data])
-    logger.info("target hyperparameters: %s", hyper)
-    save_expert_pool(args.out, hyper, [(_domain_id(args.target), args.target)],
-                     seed=args.seed)
+    logger.info("hyperparameters of %s: %s", ",".join(d.domain_id for d in datasets), hyper)
+    save_expert_pool(args.out, hyper, datasets, seed=args.seed)
     print(args.out)
     return 0
 
@@ -195,13 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", nargs="+", required=True, metavar="CSV")
     p.add_argument("--out", required=True, help="expert-pool JSON to write")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_train_source)
+    p.set_defaults(func=lambda args: _train_pool(args, args.source))
 
     p = sub.add_parser("train-target", help="fit hyperparameters on one target CSV")
     p.add_argument("--target", required=True, metavar="CSV")
     p.add_argument("--out", required=True, help="expert-pool JSON to write")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_train_target)
+    p.set_defaults(func=lambda args: _train_pool(args, [args.target]))
 
     p = sub.add_parser("adapt", help="compose source and target pools into a model bundle")
     p.add_argument("--source", required=True, help="source expert-pool JSON")

@@ -231,10 +231,10 @@ class ShiftConfig:
         for name in ("samples_per_domain", "n_target_train", "n_target_test", "dims", "n_outputs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.shift_magnitude < 0:
-            raise ConfigError("shift_magnitude must be >= 0")
-        if self.label_complexity <= 0:
-            raise ConfigError("label_complexity must be > 0")
+        if not 0 <= self.shift_magnitude < np.inf:  # also false for NaN
+            raise ConfigError("shift_magnitude must be finite and >= 0")
+        if not 0 < self.label_complexity < np.inf:
+            raise ConfigError("label_complexity must be finite and > 0")
         if self.mode not in ("multilabel", "multiclass"):
             raise ConfigError(f"mode must be multilabel or multiclass, got {self.mode!r}")
         if self.mode == "multiclass" and self.n_outputs < 2:

@@ -177,14 +177,19 @@ def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray):
+    """Lower Cholesky factor ``L`` of ``K + noise_var I``, the solve ``alpha``
+    of that matrix against ``Y``, and the jitter the factorization needed."""
+    L, jitter = cholesky_with_jitter(K + noise_var * np.eye(K.shape[0]))
+    return L, cho_solve((L, True), Y, check_finite=False), jitter
+
+
 def _lml_value(sq: np.ndarray, Y: np.ndarray, h: Hyperparams):
     """Log-marginal likelihood from a precomputed squared-distance matrix, plus
     the factors ``(K, L, alpha)`` that :func:`_lml_grad` takes at the same point."""
     n, c = Y.shape
     K = h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
-    Kn = K + h.noise_std**2 * np.eye(n)
-    L, _ = cholesky_with_jitter(Kn)
-    alpha = cho_solve((L, True), Y, check_finite=False)
+    L, alpha, _ = _factor(K, h.noise_std**2, Y)
     quad = float(np.sum(Y * alpha))
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
     value = -0.5 * quad - 0.5 * c * logdet - 0.5 * n * c * LOG_2PI
@@ -338,10 +343,7 @@ def fit(datasets: list[Dataset], init: Hyperparams | None = None) -> Hyperparams
 def train_expert(data: Dataset, h: Hyperparams) -> Expert:
     """Factorize ``K + noise^2 I`` for ``data`` and cache the label solve."""
     with blas_threads(1):
-        K = kernel_matrix(data.X, h=h)
-        Kn = K + h.noise_std**2 * np.eye(data.n)
-        L, jitter = cholesky_with_jitter(Kn)
-        alpha = cho_solve((L, True), data.Y, check_finite=False)
+        L, alpha, jitter = _factor(kernel_matrix(data.X, h=h), h.noise_std**2, data.Y)
     return Expert(data=data, hyper=h, chol=L, alpha=alpha, jitter=jitter)
 
 

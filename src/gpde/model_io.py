@@ -1,13 +1,13 @@
 """Self-describing JSON serialization for expert pools and model bundles.
 
 An *expert pool* file stores one shared hyperparameter triple (in log-space)
-plus references to the dataset CSVs it was trained on; features are reloaded
-from those files rather than embedded, and the cached factorizations are
-rebuilt deterministically on load.  A *model bundle* references a source pool
-and a target pool together with the combination weights and the decision
-mode.  Dataset paths are stored relative to the JSON file so a pool directory
-can be moved as a unit.  Every file carries a ``config_hash`` of its own
-canonical JSON, checked on load.
+plus the features and labels of every dataset it was trained on, so it
+reloads the experts that were trained whatever later happens to their CSVs.
+Floats are written in ``repr`` form and round-trip exactly; the cached
+factorizations are rebuilt deterministically on load.  A *model bundle*
+references a source pool and a target pool by paths relative to the bundle
+file, together with the combination weights and the decision mode.  Every
+file carries a ``config_hash`` of its own canonical JSON, checked on load.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import os
 
 import numpy as np
 
-from .data import load_dataset
-from .exceptions import DataLoadError
+from .exceptions import DataLoadError, InvalidInputError
 from .experts import GpdeModel, uniform_betas
-from .gp_core import Expert, train_expert
+from .gp_core import Dataset, Expert, train_expert
 from .kernel import Hyperparams
 
 __all__ = [
@@ -69,10 +68,16 @@ def _read_json(path, kind: str) -> dict:
     return payload
 
 
-def save_expert_pool(path, hyper: Hyperparams, dataset_paths: list[tuple[str, str]],
+def _check_labels(data: Dataset) -> Dataset:
+    """``data``, checked to have labels in {-1, +1}, the only labels a pool holds."""
+    if not np.all(np.abs(data.Y) == 1.0):
+        raise InvalidInputError(f"domain {data.domain_id!r}: labels must be -1 or +1")
+    return data
+
+
+def save_expert_pool(path, hyper: Hyperparams, datasets: list[Dataset],
                      seed: int | None = None) -> None:
-    """Write a pool file for ``hyper`` over ``dataset_paths`` [(domain_id, csv_path)]."""
-    base = os.path.dirname(os.path.abspath(path))
+    """Write a pool file for ``hyper`` holding the arrays of ``datasets``."""
     log_ell, log_sf, log_sv = hyper.to_log()
     _write_json(path, {
         "kind": POOL_KIND,
@@ -82,31 +87,33 @@ def save_expert_pool(path, hyper: Hyperparams, dataset_paths: list[tuple[str, st
             "log_noise_std": log_sv,
         },
         "domains": [
-            {"domain_id": domain_id, "path": os.path.relpath(os.path.abspath(p), base)}
-            for domain_id, p in dataset_paths
+            {"domain_id": d.domain_id, "X": d.X.tolist(), "Y": _check_labels(d).Y.tolist()}
+            for d in datasets
         ],
         "seed": seed,
     })
 
 
+def _dataset(domain: dict) -> Dataset:
+    """A pool's domain entry as a :class:`Dataset`.  Strings, nulls and
+    integers too large for a float are refused, not converted."""
+    X, Y = np.asarray(domain["X"]), np.asarray(domain["Y"])
+    if not isinstance(domain["domain_id"], str) or {X.dtype.kind, Y.dtype.kind} - set("iuf"):
+        raise InvalidInputError("a domain needs a string domain_id and numeric X and Y")
+    return _check_labels(Dataset(X, Y, domain["domain_id"]))
+
+
 def load_experts(path) -> list[Expert]:
-    """Read a pool file, reload its referenced datasets and rebuild their
-    experts (deterministic refactorization)."""
+    """Read a pool file, rebuild its datasets from the stored arrays and
+    their experts (deterministic refactorization)."""
     payload = _read_json(path, POOL_KIND)
     try:
         hp = payload["hyperparams"]
-        hyper = Hyperparams.from_log(
-            [hp["log_length_scale"], hp["log_signal_std"], hp["log_noise_std"]]
-        )
-        domains = [(d["domain_id"], d["path"]) for d in payload["domains"]]
+        hyper = Hyperparams.from_log([hp["log_length_scale"], hp["log_signal_std"],
+                                      hp["log_noise_std"]])
+        datasets = [_dataset(d) for d in payload["domains"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataLoadError(f"{path}: malformed pool file ({exc})") from None
-    if not all(isinstance(v, str) for domain in domains for v in domain):
-        raise DataLoadError(f"{path}: malformed pool file: domain ids and paths must be strings")
-    base = os.path.dirname(os.path.abspath(path))
-    datasets = [
-        load_dataset(os.path.join(base, p), domain_id=domain_id) for domain_id, p in domains
-    ]
     return [train_expert(d, hyper) for d in datasets]
 
 

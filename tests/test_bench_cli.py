@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from gpde import (
     ConfigError,
     Dataset,
     ShiftConfig,
+    load_dataset,
     run_benchmark,
+    save_dataset,
     synth_shift,
     write_result_table,
 )
@@ -20,7 +23,8 @@ from gpde.cli import main
 
 from conftest import with_config_hash
 
-CSV = object()  # in a pool's domain entry: the corpus path of source_0.csv
+POOL_BUNDLE = {"kind": "gpde_model_bundle", "sources": "pool.json"}
+DROP = object()  # in a pool's domain entry: leave this key out
 SMALL_CFG = ShiftConfig(n_source_domains=2, samples_per_domain=40,
                         n_target_train=30, n_target_test=40, dims=2, seed=0)
 
@@ -262,6 +266,29 @@ class TestCliPipeline:
         assert np.all(W >= 0.0)
         assert np.allclose(W.sum(axis=1), 1.0, atol=1e-8)
 
+    def test_pool_does_not_read_the_training_csvs(self, corpus, tmp_path):
+        """A pool reloads the experts that were trained: editing, then deleting,
+        the source CSVs after train-source changes no prediction."""
+        csvs = [tmp_path / f"source_{k}.csv" for k in range(2)]
+        for path in csvs:
+            shutil.copy(corpus / path.name, path)
+        pool, model, pred = tmp_path / "sources.json", tmp_path / "model.json", tmp_path / "p.csv"
+        assert run_cli("train-source", "--source", *csvs, "--out", pool) == 0
+        assert run_cli("adapt", "--source", pool, "--out", model) == 0
+
+        def predicted():
+            assert run_cli("predict", "--model", model, "--data", corpus / "target_test.csv",
+                           "--out", pred) == 0
+            return np.loadtxt(pred, delimiter=",", skiprows=1)
+
+        before = predicted()
+        data = load_dataset(csvs[0])
+        save_dataset(csvs[0], Dataset(data.X, -data.Y, data.domain_id))
+        assert np.array_equal(predicted(), before)
+        for path in csvs:
+            path.unlink()
+        assert np.array_equal(predicted(), before)
+
     def test_bench_file_mode(self, corpus, tmp_path):
         out = tmp_path / "res.csv"
         code = run_cli("bench", "--source", corpus / "source_0.csv",
@@ -307,43 +334,59 @@ class TestCliErrors:
         assert run_cli(*argv, "--seed", -1) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [("--shift", "shift_magnitude"),
+                                             ("--complexity", "label_complexity")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_shift_config_is_config_error(self, tmp_path, capsys, flag, field,
+                                                     value):
+        assert run_cli("synth", "--out", tmp_path / "corpus", flag, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
     @pytest.mark.parametrize("bundle, domain, log_length_scale", [
-        ([1, 2], {"path": CSV}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json", "betas": "x"}, {"path": CSV}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": 5}, {"path": CSV}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": CSV}, "x"),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": 5}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": None}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": ["a"]}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": "source\0.csv"}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"},
-         {"path": CSV, "domain_id": 5}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "p\0ool.json"}, {"path": CSV}, 0.0),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json"}, {"path": CSV}, 10**400),
-        ({"kind": "gpde_model_bundle", "sources": "pool.json", "betas": [10**400]},
-         {"path": CSV}, 0.0),
-    ], ids=["json-array", "domain-without-path", "string-betas", "numeric-pool-path",
-            "string-hyperparameter", "numeric-domain-path", "null-domain-path",
-            "list-domain-path", "nul-in-domain-path", "numeric-domain-id", "nul-in-pool-path",
+        ([1, 2], {}, 0.0),
+        (POOL_BUNDLE, {"X": DROP}, 0.0),
+        (POOL_BUNDLE, {"X": DROP, "Y": DROP, "path": "source_0.csv"}, 0.0),
+        ({**POOL_BUNDLE, "betas": "x"}, {}, 0.0),
+        ({**POOL_BUNDLE, "sources": 5}, {}, 0.0),
+        (POOL_BUNDLE, {}, "x"),
+        (POOL_BUNDLE, {"X": [[0.1, 0.2], [0.3]]}, 0.0),
+        (POOL_BUNDLE, {"X": [[0.1, "0.2"], [0.3, 0.4]]}, 0.0),
+        (POOL_BUNDLE, {"X": [[0.1, float("nan")], [0.3, 0.4]]}, 0.0),
+        (POOL_BUNDLE, {"X": [[0.1, float("inf")], [0.3, 0.4]]}, 0.0),
+        (POOL_BUNDLE, {"X": [[0.1, 10**400], [0.3, 0.4]]}, 0.0),
+        (POOL_BUNDLE, {"X": [[0.1, 0.2]]}, 0.0),
+        (POOL_BUNDLE, {"Y": [[0.5, 1.0], [-1.0, 1.0]]}, 0.0),
+        (POOL_BUNDLE, {"domain_id": 5}, 0.0),
+        ({**POOL_BUNDLE, "sources": "p\0ool.json"}, {}, 0.0),
+        (POOL_BUNDLE, {}, 10**400),
+        ({**POOL_BUNDLE, "betas": [10**400]}, {}, 0.0),
+    ], ids=["json-array", "domain-without-x", "old-format-domain", "string-betas",
+            "numeric-pool-path", "string-hyperparameter", "ragged-x", "string-entry",
+            "json-nan", "overflowing-float", "huge-int-entry", "x-y-row-mismatch",
+            "fractional-label", "numeric-domain-id", "nul-in-pool-path",
             "huge-int-hyperparameter", "huge-int-beta"])
     def test_predict_on_malformed_model_file(self, corpus, tmp_path, capsys, bundle,
                                              domain, log_length_scale):
-        domain = {"domain_id": "source_0", **domain}
-        if domain.get("path") is CSV:
-            domain["path"] = str(corpus / "source_0.csv")
+        domain = {"domain_id": "source_0", "X": [[0.1, 0.2], [0.3, 0.4]],
+                  "Y": [[1.0, -1.0], [-1.0, 1.0]], **domain}
         # each file carries a valid config_hash, so the load reaches the defect
-        (tmp_path / "pool.json").write_text(json.dumps(with_config_hash({
-            "kind": "gpde_expert_pool", "domains": [domain],
+        pool = json.dumps(with_config_hash({
+            "kind": "gpde_expert_pool",
+            "domains": [{k: v for k, v in domain.items() if v is not DROP}],
             "hyperparams": {"log_length_scale": log_length_scale, "log_signal_std": 0.0,
-                            "log_noise_std": -1.0}})))
+                            "log_noise_std": -1.0}}))
+        # 1e400 parses to the same inf as Infinity, so the hash still holds
+        (tmp_path / "pool.json").write_text(pool.replace("Infinity", "1e400"))
         if isinstance(bundle, dict):
             bundle = with_config_hash(bundle)
         (tmp_path / "model.json").write_text(json.dumps(bundle))
         code = run_cli("predict", "--model", tmp_path / "model.json",
                        "--data", corpus / "target_test.csv")
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if bundle == with_config_hash(POOL_BUNDLE):  # the defect is in the pool
+            assert f"{tmp_path / 'pool.json'}: malformed pool file" in err
 
     def test_predict_on_edited_pool_file(self, corpus, tmp_path, capsys):
         pool, model = tmp_path / "sources.json", tmp_path / "model.json"

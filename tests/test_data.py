@@ -132,6 +132,10 @@ class TestShiftConfig:
             ShiftConfig(samples_per_domain=0)
         with pytest.raises(ConfigError):
             ShiftConfig(shift_magnitude=-0.1)
+        for name in ("shift_magnitude", "label_complexity"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigError, match=name):
+                    ShiftConfig(**{name: value})
         with pytest.raises(ConfigError):
             ShiftConfig(mode="other")
         with pytest.raises(ConfigError):

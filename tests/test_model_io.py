@@ -6,14 +6,15 @@ import pytest
 
 from gpde import (
     DataLoadError,
+    Dataset,
     GpdeModel,
     Hyperparams,
+    InvalidInputError,
     load_bundle,
     load_experts,
     posterior,
     predict,
     save_bundle,
-    save_dataset,
     save_expert_pool,
     uniform_betas,
 )
@@ -22,21 +23,14 @@ from conftest import random_dataset, with_config_hash
 
 @pytest.fixture
 def pool_dir(tmp_path, rng):
-    """A directory holding two source CSVs, one target CSV, and both pool files."""
+    """A directory holding a two-domain source pool and a one-domain target pool."""
     d = tmp_path / "pools"
     d.mkdir()
-    paths = []
-    for k in range(2):
-        data = random_dataset(rng, n=12, d=2, c=1, domain_id=f"source_{k}")
-        p = d / f"source_{k}.csv"
-        save_dataset(p, data)
-        paths.append((data.domain_id, str(p)))
+    sources = [random_dataset(rng, n=12, d=2, c=1, domain_id=f"source_{k}") for k in range(2)]
     target = random_dataset(rng, n=8, d=2, c=1, domain_id="target")
-    tp = d / "target.csv"
-    save_dataset(tp, target)
     hyper = Hyperparams(length_scale=1.3, signal_std=0.9, noise_std=0.2)
-    save_expert_pool(d / "sources.json", hyper, paths, seed=7)
-    save_expert_pool(d / "targetpool.json", hyper, [("target", str(tp))], seed=7)
+    save_expert_pool(d / "sources.json", hyper, sources, seed=7)
+    save_expert_pool(d / "targetpool.json", hyper, [target], seed=7)
     return d
 
 
@@ -51,9 +45,26 @@ class TestExpertPool:
         assert [e.data.domain_id for e in experts] == ["source_0", "source_1"]
 
     def test_relative_paths_survive_directory_move(self, pool_dir, tmp_path):
+        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json",
+                    pool_dir / "targetpool.json")
         moved = tmp_path / "elsewhere"
         shutil.move(str(pool_dir), str(moved))
-        assert len(load_experts(moved / "sources.json")) == 2
+        model = load_bundle(moved / "bundle.json")
+        assert len(model.sources) == 2 and model.target is not None
+
+    def test_pool_holds_the_trained_arrays(self, tmp_path, rng):
+        data = random_dataset(rng, n=9, d=3, c=2, domain_id="source_0")
+        save_expert_pool(tmp_path / "pool.json", Hyperparams(1.0, 1.0, 0.3), [data])
+        (loaded,) = load_experts(tmp_path / "pool.json")
+        assert loaded.data.domain_id == "source_0"
+        assert np.array_equal(loaded.data.X, data.X)
+        assert np.array_equal(loaded.data.Y, data.Y)
+
+    def test_labels_other_than_plus_minus_one_rejected_on_save(self, tmp_path, rng):
+        data = Dataset(rng.normal(size=(4, 2)), rng.normal(size=(4, 1)), "real")
+        with pytest.raises(InvalidInputError, match="labels"):
+            save_expert_pool(tmp_path / "pool.json", Hyperparams(1.0, 1.0, 0.3), [data])
+        assert not (tmp_path / "pool.json").exists()
 
     def test_experts_rebuilt_deterministically(self, pool_dir, rng):
         e1 = load_experts(pool_dir / "sources.json")
@@ -65,9 +76,9 @@ class TestExpertPool:
             assert np.array_equal(pa.variance, pb.variance)
 
     def test_wrong_kind_rejected(self, pool_dir):
+        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json", None)
         with pytest.raises(DataLoadError, match="kind"):
-            load_experts(pool_dir / "targetpool.json")
-            load_bundle(pool_dir / "sources.json")
+            load_experts(pool_dir / "bundle.json")
         with pytest.raises(DataLoadError, match="kind"):
             load_bundle(pool_dir / "sources.json")
 
