@@ -29,7 +29,7 @@ configured generator; file-based folds partition the target pool.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -254,9 +254,10 @@ def run_benchmark(
             f"schedule max {max(spec.schedule)} exceeds the target training pool ({pool_size})"
         )
 
-    hashed = config_hash(shift_cfg) if synthetic else config_hash(
-        {"sources": [d.domain_id for d in (source_datasets or [])],
-         "target": target_pool.domain_id, "n": target_pool.n})
+    data = asdict(shift_cfg) if synthetic else {
+        "sources": [d.domain_id for d in (source_datasets or [])],
+        "target": target_pool.domain_id, "n": target_pool.n}
+    hashed = config_hash({"spec": asdict(spec), "data": data})
     rows: list[BenchRow] = []
     fold_seeds = _fold_stream(spec.seed, spec.folds) if synthetic else None
     file_folds = None if synthetic else list(_file_folds(spec, target_pool))

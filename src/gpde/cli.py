@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands mirror the workflow phases: ``train-source`` and ``train-target``
-fit hyperparameters and write expert-pool files, ``adapt`` composes pools
-into a model bundle, ``predict`` and ``weights`` apply a bundle to new
-feature rows, ``bench`` runs the full evaluation protocol, and ``synth``
-writes a seeded synthetic covariate-shift corpus.
+fit hyperparameters and write expert-pool files, ``adapt`` composes a source
+pool and an optional one-domain target pool into a model bundle that holds
+their experts, ``predict`` and ``weights`` apply a bundle to new feature rows
+and read no other file, ``bench`` runs the full evaluation protocol, and
+``synth`` writes a seeded synthetic covariate-shift corpus.
 
 Progress and warnings go to stderr; results go to stdout or ``--out``.
 Every artifact embeds the seed and a config hash.  Exit code is nonzero on
@@ -26,10 +27,10 @@ from . import __version__
 from .bench import METHODS, METRICS, BenchmarkSpec, run_benchmark, write_result_table
 from .data import (ShiftConfig, config_hash, load_dataset, load_features,
                    load_shift_config, save_dataset, save_shift_config, synth_shift)
-from .exceptions import ConfigError, GpdeError
-from .experts import MODES, expert_weights, predict
+from .exceptions import ConfigError, DataLoadError, GpdeError
+from .experts import MODES, GpdeModel, expert_weights, predict, uniform_betas
 from .gp_core import fit
-from .model_io import load_bundle, save_bundle, save_expert_pool
+from .model_io import load_bundle, load_experts, save_bundle, save_expert_pool
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +71,16 @@ def _train_pool(args, paths: list[str]) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    save_bundle(args.out, args.source, args.target, mode=args.mode, seed=args.seed)
-    load_bundle(args.out)  # validate the referenced pools before reporting success
+    sources, target = load_experts(args.source), None
+    if args.target:
+        targets = load_experts(args.target)
+        if len(targets) != 1:
+            raise DataLoadError(f"{args.target}: a target pool must hold exactly one domain, "
+                                f"not {len(targets)}")
+        target = targets[0]
+    model = GpdeModel(sources, target, uniform_betas(len(sources) + (target is not None)),
+                      args.mode)
+    save_bundle(args.out, model, seed=args.seed)
     print(args.out)
     return 0
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -371,12 +372,7 @@ def load_shift_config(path, **overrides) -> ShiftConfig:
 
 
 def config_hash(obj) -> str:
-    """Short stable hash of a config-like object's public fields."""
-    if hasattr(obj, "__dataclass_fields__"):
-        items = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
-    elif isinstance(obj, dict):
-        items = sorted(obj.items())
-    else:
-        items = [("value", obj)]
-    canon = ",".join(f"{k}={v}" for k, v in items)
+    """Short sha256 of the sorted-key JSON of a dict or of a dataclass's fields.
+    Values JSON has no type for, such as numpy integers, enter as their ``str``."""
+    canon = json.dumps(asdict(obj) if is_dataclass(obj) else obj, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]

@@ -3,23 +3,23 @@
 An *expert pool* file stores one shared hyperparameter triple (in log-space)
 plus the features and labels of every dataset it was trained on, so it
 reloads the experts that were trained whatever later happens to their CSVs.
-Floats are written in ``repr`` form and round-trip exactly; the cached
-factorizations are rebuilt deterministically on load.  A *model bundle*
-references a source pool and a target pool by paths relative to the bundle
-file, together with the combination weights and the decision mode.  Every
-file carries a ``config_hash`` of its own canonical JSON, checked on load.
+A *model bundle* stores the model itself: a ``sources`` and a ``target``
+section, each laid out like a pool, plus the combination weights and the
+decision mode, so it needs no other file.  Floats are written in ``repr``
+form and round-trip exactly; the cached factorizations are rebuilt
+deterministically on load.  Every file carries a ``config_hash`` of its own
+canonical JSON (:func:`gpde.data.config_hash`), checked on load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 
 import numpy as np
 
+from .data import config_hash
 from .exceptions import DataLoadError, InvalidInputError
-from .experts import GpdeModel, uniform_betas
+from .experts import GpdeModel
 from .gp_core import Dataset, Expert, train_expert
 from .kernel import Hyperparams
 
@@ -34,19 +34,11 @@ POOL_KIND = "gpde_expert_pool"
 BUNDLE_KIND = "gpde_model_bundle"
 
 
-def _payload_hash(payload: dict) -> str:
-    """Short sha256 of the payload's canonical JSON (sorted keys), its own
-    ``config_hash`` left out, so it can be recomputed from the file."""
-    body = {k: v for k, v in payload.items() if k != "config_hash"}
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:12]
-
-
 def _write_json(path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["config_hash"] = _payload_hash(payload)
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    text = json.dumps({**payload, "config_hash": config_hash(payload)}, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_json(path, kind: str) -> dict:
@@ -61,7 +53,7 @@ def _read_json(path, kind: str) -> dict:
         raise DataLoadError(f"{path}: expected kind {kind!r}, got {payload.get('kind')!r}")
     if "config_hash" not in payload:
         raise DataLoadError(f"{path}: malformed {kind} file: no config_hash")
-    stored, actual = payload["config_hash"], _payload_hash(payload)
+    stored, actual = payload.pop("config_hash"), config_hash(payload)
     if stored != actual:
         raise DataLoadError(f"{path}: config_hash {stored!r} does not match the contents "
                             f"({actual!r}); the file was changed after it was written")
@@ -75,12 +67,10 @@ def _check_labels(data: Dataset) -> Dataset:
     return data
 
 
-def save_expert_pool(path, hyper: Hyperparams, datasets: list[Dataset],
-                     seed: int | None = None) -> None:
-    """Write a pool file for ``hyper`` holding the arrays of ``datasets``."""
+def _experts_section(hyper: Hyperparams, datasets: list[Dataset]) -> dict:
+    """The ``{"hyperparams", "domains"}`` of a pool, or of a bundle's sources or target."""
     log_ell, log_sf, log_sv = hyper.to_log()
-    _write_json(path, {
-        "kind": POOL_KIND,
+    return {
         "hyperparams": {
             "log_length_scale": log_ell,
             "log_signal_std": log_sf,
@@ -90,73 +80,75 @@ def save_expert_pool(path, hyper: Hyperparams, datasets: list[Dataset],
             {"domain_id": d.domain_id, "X": d.X.tolist(), "Y": _check_labels(d).Y.tolist()}
             for d in datasets
         ],
-        "seed": seed,
-    })
+    }
 
 
 def _dataset(domain: dict) -> Dataset:
-    """A pool's domain entry as a :class:`Dataset`.  Strings, nulls and
-    integers too large for a float are refused, not converted."""
+    """A domain entry as a :class:`Dataset`.  Strings, nulls and integers too
+    large for a float are refused, not converted."""
     X, Y = np.asarray(domain["X"]), np.asarray(domain["Y"])
     if not isinstance(domain["domain_id"], str) or {X.dtype.kind, Y.dtype.kind} - set("iuf"):
         raise InvalidInputError("a domain needs a string domain_id and numeric X and Y")
     return _check_labels(Dataset(X, Y, domain["domain_id"]))
 
 
-def load_experts(path) -> list[Expert]:
-    """Read a pool file, rebuild its datasets from the stored arrays and
-    their experts (deterministic refactorization)."""
-    payload = _read_json(path, POOL_KIND)
+def _read_experts(path, section, name: str) -> list[Expert]:
+    """Rebuild the experts of an experts section from its stored arrays
+    (deterministic refactorization); ``name`` says where it sits in ``path``."""
     try:
-        hp = payload["hyperparams"]
+        hp = section["hyperparams"]
         hyper = Hyperparams.from_log([hp["log_length_scale"], hp["log_signal_std"],
                                       hp["log_noise_std"]])
-        datasets = [_dataset(d) for d in payload["domains"]]
+        datasets = [_dataset(d) for d in section["domains"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataLoadError(f"{path}: malformed pool file ({exc})") from None
+        raise DataLoadError(f"{path}: malformed {name} ({exc})") from None
     return [train_expert(d, hyper) for d in datasets]
 
 
-def save_bundle(path, sources_pool: str | None, target_pool: str | None,
-                betas=None, mode: str = "multilabel", seed: int | None = None) -> None:
-    """Write a bundle referencing a source pool and/or a target pool."""
-    base = os.path.dirname(os.path.abspath(path))
-    rel = lambda p: os.path.relpath(os.path.abspath(p), base) if p else None
+def save_expert_pool(path, hyper: Hyperparams, datasets: list[Dataset],
+                     seed: int | None = None) -> None:
+    """Write a pool file for ``hyper`` holding the arrays of ``datasets``."""
+    _write_json(path, {"kind": POOL_KIND, **_experts_section(hyper, datasets), "seed": seed})
+
+
+def load_experts(path) -> list[Expert]:
+    """Read a pool file and rebuild the experts it holds."""
+    payload = _read_json(path, POOL_KIND)
+    domains = payload.get("domains")
+    if isinstance(domains, list) and any(isinstance(d, dict) and "path" in d for d in domains):
+        raise DataLoadError(f"{path}: an old-format pool that names CSV files instead of "
+                            "holding their arrays; run train-source/train-target again")
+    return _read_experts(path, payload, "pool file")
+
+
+def save_bundle(path, model: GpdeModel, seed: int | None = None) -> None:
+    """Write ``model`` itself: its experts' hyperparameters and arrays, its
+    combination weights and its decision mode."""
+    def section(experts: list[Expert]) -> dict | None:
+        return _experts_section(experts[0].hyper, [e.data for e in experts]) if experts else None
+
     _write_json(path, {
         "kind": BUNDLE_KIND,
-        "sources": rel(sources_pool),
-        "target": rel(target_pool),
-        "betas": None if betas is None else [float(b) for b in np.asarray(betas).ravel()],
-        "mode": mode,
+        "sources": section(model.sources),
+        "target": section([model.target] if model.target is not None else []),
+        "betas": model.betas.tolist(),
+        "mode": model.mode,
         "seed": seed,
     })
 
 
 def load_bundle(path) -> GpdeModel:
-    """Reassemble a :class:`GpdeModel` from a bundle file."""
+    """Rebuild the :class:`GpdeModel` a bundle file holds."""
     payload = _read_json(path, BUNDLE_KIND)
-    base = os.path.dirname(os.path.abspath(path))
-
-    def pool_path(key: str) -> str | None:
-        ref = payload.get(key)
-        if ref is not None and not isinstance(ref, str):
-            raise DataLoadError(f"{path}: {key} must be a pool path or null, got {ref!r}")
-        return os.path.join(base, ref) if ref else None
-
-    sources_pool, target_pool = pool_path("sources"), pool_path("target")
-    sources: list[Expert] = load_experts(sources_pool) if sources_pool else []
-    target = None
-    if target_pool:
-        target_experts = load_experts(target_pool)
-        if len(target_experts) != 1:
-            raise DataLoadError(f"{path}: target pool must contain exactly one domain")
-        target = target_experts[0]
-    betas = payload.get("betas")
-    if betas is None:
-        betas = uniform_betas(len(sources) + (1 if target else 0))
-    try:
-        betas = np.asarray(betas, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataLoadError(f"{path}: malformed betas ({exc})") from None
-    return GpdeModel(sources=sources, target=target, betas=betas,
-                     mode=payload.get("mode", "multilabel"))
+    if any(isinstance(payload.get(k), str) for k in ("sources", "target")):
+        raise DataLoadError(f"{path}: an old-format bundle that names pool files instead of "
+                            "holding their experts; run adapt again")
+    sources, target = (None if payload.get(k) is None else _read_experts(path, payload[k], k)
+                       for k in ("sources", "target"))
+    if target is not None and len(target) != 1:
+        raise DataLoadError(f"{path}: the target must hold exactly one domain, not {len(target)}")
+    try:  # GpdeModel's own checks raise InvalidInputError, a ValueError
+        return GpdeModel(sources=sources or [], target=target[0] if target else None,
+                         betas=np.asarray(payload["betas"], dtype=float), mode=payload["mode"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataLoadError(f"{path}: malformed bundle file ({exc})") from None

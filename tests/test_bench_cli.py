@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from gpde.cli import main
 
 from conftest import with_config_hash
 
-POOL_BUNDLE = {"kind": "gpde_model_bundle", "sources": "pool.json"}
+# a bundle less its sources section, which each case supplies
+BUNDLE = {"kind": "gpde_model_bundle", "target": None, "betas": [1.0], "mode": "multilabel"}
 DROP = object()  # in a pool's domain entry: leave this key out
 SMALL_CFG = ShiftConfig(n_source_domains=2, samples_per_domain=40,
                         n_target_train=30, n_target_test=40, dims=2, seed=0)
@@ -129,6 +131,14 @@ class TestResultRows:
         b = run_benchmark(spec, shift_cfg=SMALL_CFG)
         assert a.rows == b.rows
         assert a.config_hash == b.config_hash
+
+    def test_config_hash_covers_the_spec(self):
+        """Runs on the same data under different specs carry different hashes."""
+        spec = BenchmarkSpec(methods=("gp_target",), schedule=(4,), folds=1,
+                             metrics=("acc",), seed=7)
+        a = run_benchmark(spec, shift_cfg=SMALL_CFG)
+        b = run_benchmark(replace(spec, schedule=(4, 8)), shift_cfg=SMALL_CFG)
+        assert a.config_hash != b.config_hash
 
     def test_summary_means_over_folds(self, gpde_runs):
         short, _ = gpde_runs
@@ -289,6 +299,28 @@ class TestCliPipeline:
             path.unlink()
         assert np.array_equal(predicted(), before)
 
+    def test_bundle_does_not_read_the_pools(self, corpus, tmp_path):
+        """A bundle holds the model that was adapted: retraining its source pool
+        on other CSVs and deleting its target pool after adapt changes no byte
+        of predict's output."""
+        sources, target = tmp_path / "sources.json", tmp_path / "target.json"
+        model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+        assert run_cli("train-source", "--source", corpus / "source_0.csv", "--out", sources) == 0
+        assert run_cli("train-target", "--target", corpus / "target_train.csv",
+                       "--out", target) == 0
+        assert run_cli("adapt", "--source", sources, "--target", target, "--out", model) == 0
+
+        def predicted() -> bytes:
+            assert run_cli("predict", "--model", model, "--data", corpus / "target_test.csv",
+                           "--out", pred) == 0
+            return pred.read_bytes()
+
+        before = predicted()
+        assert run_cli("train-source", "--source", corpus / "source_0.csv",
+                       corpus / "source_1.csv", "--out", sources) == 0
+        target.unlink()
+        assert predicted() == before
+
     def test_bench_file_mode(self, corpus, tmp_path):
         out = tmp_path / "res.csv"
         code = run_cli("bench", "--source", corpus / "source_0.csv",
@@ -344,63 +376,115 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("bundle, domain, log_length_scale", [
         ([1, 2], {}, 0.0),
-        (POOL_BUNDLE, {"X": DROP}, 0.0),
-        (POOL_BUNDLE, {"X": DROP, "Y": DROP, "path": "source_0.csv"}, 0.0),
-        ({**POOL_BUNDLE, "betas": "x"}, {}, 0.0),
-        ({**POOL_BUNDLE, "sources": 5}, {}, 0.0),
-        (POOL_BUNDLE, {}, "x"),
-        (POOL_BUNDLE, {"X": [[0.1, 0.2], [0.3]]}, 0.0),
-        (POOL_BUNDLE, {"X": [[0.1, "0.2"], [0.3, 0.4]]}, 0.0),
-        (POOL_BUNDLE, {"X": [[0.1, float("nan")], [0.3, 0.4]]}, 0.0),
-        (POOL_BUNDLE, {"X": [[0.1, float("inf")], [0.3, 0.4]]}, 0.0),
-        (POOL_BUNDLE, {"X": [[0.1, 10**400], [0.3, 0.4]]}, 0.0),
-        (POOL_BUNDLE, {"X": [[0.1, 0.2]]}, 0.0),
-        (POOL_BUNDLE, {"Y": [[0.5, 1.0], [-1.0, 1.0]]}, 0.0),
-        (POOL_BUNDLE, {"domain_id": 5}, 0.0),
-        ({**POOL_BUNDLE, "sources": "p\0ool.json"}, {}, 0.0),
-        (POOL_BUNDLE, {}, 10**400),
-        ({**POOL_BUNDLE, "betas": [10**400]}, {}, 0.0),
+        (BUNDLE, {"X": DROP}, 0.0),
+        (BUNDLE, {"X": DROP, "Y": DROP, "path": "source_0.csv"}, 0.0),
+        ({**BUNDLE, "betas": "x"}, {}, 0.0),
+        ({**BUNDLE, "sources": "pool.json", "betas": None}, {}, 0.0),
+        ({**BUNDLE, "sources": 5}, {}, 0.0),
+        (BUNDLE, {}, "x"),
+        (BUNDLE, {"X": [[0.1, 0.2], [0.3]]}, 0.0),
+        (BUNDLE, {"X": [[0.1, "0.2"], [0.3, 0.4]]}, 0.0),
+        (BUNDLE, {"X": [[0.1, float("nan")], [0.3, 0.4]]}, 0.0),
+        (BUNDLE, {"X": [[0.1, float("inf")], [0.3, 0.4]]}, 0.0),
+        (BUNDLE, {"X": [[0.1, 10**400], [0.3, 0.4]]}, 0.0),
+        (BUNDLE, {"X": [[0.1, 0.2]]}, 0.0),
+        (BUNDLE, {"Y": [[0.5, 1.0], [-1.0, 1.0]]}, 0.0),
+        (BUNDLE, {"domain_id": 5}, 0.0),
+        (BUNDLE, {}, 10**400),
+        ({**BUNDLE, "betas": [10**400]}, {}, 0.0),
     ], ids=["json-array", "domain-without-x", "old-format-domain", "string-betas",
-            "numeric-pool-path", "string-hyperparameter", "ragged-x", "string-entry",
-            "json-nan", "overflowing-float", "huge-int-entry", "x-y-row-mismatch",
-            "fractional-label", "numeric-domain-id", "nul-in-pool-path",
+            "old-format-bundle", "numeric-sources", "string-hyperparameter", "ragged-x",
+            "string-entry", "json-nan", "overflowing-float", "huge-int-entry",
+            "x-y-row-mismatch", "fractional-label", "numeric-domain-id",
             "huge-int-hyperparameter", "huge-int-beta"])
     def test_predict_on_malformed_model_file(self, corpus, tmp_path, capsys, bundle,
                                              domain, log_length_scale):
+        """A defect in a domain entry or the hyperparameters is met both in a
+        bundle's sources (by ``predict``) and in a pool (by ``adapt``)."""
         domain = {"domain_id": "source_0", "X": [[0.1, 0.2], [0.3, 0.4]],
                   "Y": [[1.0, -1.0], [-1.0, 1.0]], **domain}
-        # each file carries a valid config_hash, so the load reaches the defect
-        pool = json.dumps(with_config_hash({
-            "kind": "gpde_expert_pool",
-            "domains": [{k: v for k, v in domain.items() if v is not DROP}],
-            "hyperparams": {"log_length_scale": log_length_scale, "log_signal_std": 0.0,
-                            "log_noise_std": -1.0}}))
-        # 1e400 parses to the same inf as Infinity, so the hash still holds
-        (tmp_path / "pool.json").write_text(pool.replace("Infinity", "1e400"))
+        section = {"domains": [{k: v for k, v in domain.items() if v is not DROP}],
+                   "hyperparams": {"log_length_scale": log_length_scale, "log_signal_std": 0.0,
+                                   "log_noise_std": -1.0}}
+        in_domain = bundle is BUNDLE
         if isinstance(bundle, dict):
-            bundle = with_config_hash(bundle)
-        (tmp_path / "model.json").write_text(json.dumps(bundle))
-        code = run_cli("predict", "--model", tmp_path / "model.json",
-                       "--data", corpus / "target_test.csv")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        if bundle == with_config_hash(POOL_BUNDLE):  # the defect is in the pool
-            assert f"{tmp_path / 'pool.json'}: malformed pool file" in err
+            bundle = {"sources": section, **bundle}
+        files = {"model.json": bundle, "pool.json": {"kind": "gpde_expert_pool", **section}}
+        for name, payload in files.items():
+            # each file carries a valid config_hash, so the load reaches the defect;
+            # 1e400 parses to the same inf as Infinity, so the hash still holds
+            text = json.dumps(with_config_hash(payload) if isinstance(payload, dict) else payload)
+            (tmp_path / name).write_text(text.replace("Infinity", "1e400"))
+        # name: (command reading the file, what the error says when the defect is in a domain)
+        runs = {"model.json": (("predict", "--model", tmp_path / "model.json",
+                                "--data", corpus / "target_test.csv"), "malformed sources")}
+        if in_domain:
+            runs["pool.json"] = (("adapt", "--source", tmp_path / "pool.json",
+                                  "--out", tmp_path / "out.json"),
+                                 "an old-format pool" if "path" in domain else "malformed pool file")
+        for name, (argv, message) in runs.items():
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {tmp_path / name}: ")
+            assert message in err or not in_domain
 
-    def test_predict_on_edited_pool_file(self, corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["pool", "bundle"])
+    def test_old_format_file_names_the_command_to_rerun(self, corpus, tmp_path, capsys, kind):
+        """Pools named CSV files, and bundles pool files, before each held its arrays."""
+        old = tmp_path / "old.json"
+        if kind == "pool":
+            payload = {"kind": "gpde_expert_pool", "seed": 0,
+                       "hyperparams": {"log_length_scale": 0.0, "log_signal_std": 0.0,
+                                       "log_noise_std": -1.0},
+                       "domains": [{"domain_id": "source_0", "path": "source_0.csv"}]}
+            argv, rerun = ("adapt", "--source", old, "--out", tmp_path / "m.json"), \
+                "train-source/train-target"
+        else:
+            payload = {"kind": "gpde_model_bundle", "sources": "sources.json",
+                       "target": "target.json", "betas": None, "mode": "multilabel", "seed": 0}
+            argv, rerun = ("predict", "--model", old, "--data", corpus / "target_test.csv"), \
+                "adapt"
+        old.write_text(json.dumps(with_config_hash(payload)))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: an old-format {kind}")
+        assert err.rstrip().endswith(f"run {rerun} again")
+
+    def test_predict_on_edited_bundle_file(self, corpus, tmp_path, capsys):
         pool, model = tmp_path / "sources.json", tmp_path / "model.json"
         assert run_cli("train-source", "--source", corpus / "source_0.csv",
                        "--out", pool) == 0
         assert run_cli("adapt", "--source", pool, "--out", model) == 0
-        payload = json.loads(pool.read_text())
-        payload["hyperparams"]["log_length_scale"] += 0.1
-        pool.write_text(json.dumps(payload))
+        payload = json.loads(model.read_text())
+        payload["sources"]["hyperparams"]["log_length_scale"] += 0.1
+        model.write_text(json.dumps(payload))
         capsys.readouterr()
         code = run_cli("predict", "--model", model, "--data", corpus / "target_test.csv")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "sources.json" in err and "config_hash" in err
+        assert err.startswith(f"error: {model}: config_hash")
+
+    def test_adapt_on_edited_pool_file(self, corpus, tmp_path, capsys):
+        pool = tmp_path / "sources.json"
+        assert run_cli("train-source", "--source", corpus / "source_0.csv",
+                       "--out", pool) == 0
+        payload = json.loads(pool.read_text())
+        payload["hyperparams"]["log_length_scale"] += 0.1
+        pool.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("adapt", "--source", pool, "--out", tmp_path / "model.json") == 2
+        assert capsys.readouterr().err.startswith(f"error: {pool}: config_hash")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_adapt_refuses_multi_domain_target(self, corpus, tmp_path, capsys):
+        pool = tmp_path / "sources.json"
+        assert run_cli("train-source", "--source", corpus / "source_0.csv",
+                       corpus / "source_1.csv", "--out", pool) == 0
+        capsys.readouterr()
+        assert run_cli("adapt", "--source", pool, "--target", pool,
+                       "--out", tmp_path / "model.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pool}: ") and "exactly one domain" in err
 
     @pytest.mark.parametrize("command, name, content", [
         ("train-target", "bad.csv", b"f0,y0\n\xff\xfe,1\n"),

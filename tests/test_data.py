@@ -161,6 +161,9 @@ class TestShiftConfig:
         c = config_hash(ShiftConfig(seed=2))
         assert a == b and a != c and len(a) == 12
 
+    def test_config_hash_takes_numpy_scalars(self):
+        assert len(config_hash({"schedule": (np.int64(4),), "energy": np.float32(0.5)})) == 12
+
 
 SMALL = dict(n_source_domains=2, samples_per_domain=40, n_target_train=60,
              n_target_test=50, dims=2)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gpde import (
     GpdeError,
+    GpdeModel,
     Hyperparams,
     ShiftConfig,
     load_bundle,
@@ -57,13 +58,13 @@ LOADERS = {
 
 @pytest.fixture(scope="module")
 def valid_dir(tmp_path_factory):
-    """One valid file per loader; the bundle refers to the pool beside it, and
-    the pool holds the arrays of the CSV."""
+    """One valid file per loader; the pool holds the arrays of the CSV, and
+    the bundle a model of the pool's expert."""
     d = tmp_path_factory.mktemp("valid")
     data = random_dataset(np.random.default_rng(3), n=8, d=2, c=1, domain_id="source")
     save_dataset(d / "source.csv", data)
     save_expert_pool(d / "pool.json", Hyperparams(1.0, 1.0, 0.3), [data], seed=0)
-    save_bundle(d / "bundle.json", d / "pool.json", None, seed=0)
+    save_bundle(d / "bundle.json", GpdeModel(load_experts(d / "pool.json"), None, [1.0]), seed=0)
     save_shift_config(d / "shift.txt", ShiftConfig(n_source_domains=1, samples_per_domain=20,
                                                    n_target_train=10, n_target_test=10,
                                                    dims=2))

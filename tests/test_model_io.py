@@ -1,5 +1,6 @@
+import contextlib
+import io
 import json
-import shutil
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from gpde import (
     predict,
     save_bundle,
     save_expert_pool,
+    train_gpde,
     uniform_betas,
 )
+from gpde.cli import main
 from conftest import random_dataset, with_config_hash
 
 
@@ -44,14 +47,6 @@ class TestExpertPool:
         assert abs(hyper.noise_std - 0.2) < 1e-12
         assert [e.data.domain_id for e in experts] == ["source_0", "source_1"]
 
-    def test_relative_paths_survive_directory_move(self, pool_dir, tmp_path):
-        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json",
-                    pool_dir / "targetpool.json")
-        moved = tmp_path / "elsewhere"
-        shutil.move(str(pool_dir), str(moved))
-        model = load_bundle(moved / "bundle.json")
-        assert len(model.sources) == 2 and model.target is not None
-
     def test_pool_holds_the_trained_arrays(self, tmp_path, rng):
         data = random_dataset(rng, n=9, d=3, c=2, domain_id="source_0")
         save_expert_pool(tmp_path / "pool.json", Hyperparams(1.0, 1.0, 0.3), [data])
@@ -76,7 +71,8 @@ class TestExpertPool:
             assert np.array_equal(pa.variance, pb.variance)
 
     def test_wrong_kind_rejected(self, pool_dir):
-        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json", None)
+        sources = load_experts(pool_dir / "sources.json")
+        save_bundle(pool_dir / "bundle.json", GpdeModel(sources, None, uniform_betas(2)))
         with pytest.raises(DataLoadError, match="kind"):
             load_experts(pool_dir / "bundle.json")
         with pytest.raises(DataLoadError, match="kind"):
@@ -117,38 +113,65 @@ class TestExpertPool:
             load_experts(path)
 
 
+def _one_hot(rng, n, c, domain_id):
+    """A multiclass dataset: one +1 per row, -1 elsewhere."""
+    Y = -np.ones((n, c))
+    Y[np.arange(n), rng.integers(0, c, size=n)] = 1.0
+    return Dataset(rng.normal(size=(n, 2)), Y, domain_id)
+
+
+def _assert_same_model(a: GpdeModel, b: GpdeModel, Xs):
+    assert np.array_equal(a.betas, b.betas) and a.mode == b.mode
+    pa, pb = predict(a, Xs), predict(b, Xs)
+    assert np.array_equal(pa.mean, pb.mean)
+    assert np.array_equal(pa.variance, pb.variance)
+    assert np.array_equal(pa.labels, pb.labels)
+
+
 class TestBundle:
-    def test_round_trip_predictions_identical(self, pool_dir, rng):
-        sources = load_experts(pool_dir / "sources.json")
-        (target,) = load_experts(pool_dir / "targetpool.json")
-        direct = GpdeModel(sources=sources, target=target, betas=uniform_betas(3))
-        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json",
-                    pool_dir / "targetpool.json", betas=direct.betas, seed=7)
-        loaded = load_bundle(pool_dir / "bundle.json")
-        Xs = rng.normal(size=(6, 2))
-        a, b = predict(direct, Xs), predict(loaded, Xs)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.variance, b.variance)
+    def test_round_trip_predictions_identical(self, tmp_path, rng):
+        sources = [_one_hot(rng, 10, 3, f"source_{k}") for k in range(2)]
+        model = train_gpde(sources, _one_hot(rng, 6, 3, "target"),
+                           betas=[0.5, 0.2, 0.3], mode="multiclass")
+        save_bundle(tmp_path / "bundle.json", model, seed=7)
+        _assert_same_model(model, load_bundle(tmp_path / "bundle.json"),
+                           rng.normal(size=(6, 2)))
 
     def test_default_betas_uniform(self, pool_dir):
-        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json",
-                    pool_dir / "targetpool.json")
-        model = load_bundle(pool_dir / "bundle.json")
-        assert np.allclose(model.betas, 1.0 / 3.0)
+        """The betas ``adapt`` writes are uniform over the experts present."""
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["adapt", "--source", str(pool_dir / "sources.json"),
+                         "--target", str(pool_dir / "targetpool.json"),
+                         "--out", str(pool_dir / "bundle.json")]) == 0
+        assert np.array_equal(load_bundle(pool_dir / "bundle.json").betas, uniform_betas(3))
 
-    def test_source_only_bundle(self, pool_dir):
-        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json", None)
-        model = load_bundle(pool_dir / "bundle.json")
-        assert model.target is None
-        assert len(model.betas) == 2
+    def test_source_only_bundle(self, tmp_path, rng):
+        model = train_gpde([random_dataset(rng, n=9, d=2, c=2, domain_id=f"s{k}")
+                            for k in range(2)], None)
+        save_bundle(tmp_path / "bundle.json", model)
+        loaded = load_bundle(tmp_path / "bundle.json")
+        assert loaded.target is None and len(loaded.sources) == 2
+        _assert_same_model(model, loaded, rng.normal(size=(5, 2)))
+
+    def test_target_only_bundle(self, tmp_path, rng):
+        model = train_gpde([], random_dataset(rng, n=9, d=2, c=2, domain_id="t"))
+        save_bundle(tmp_path / "bundle.json", model)
+        loaded = load_bundle(tmp_path / "bundle.json")
+        assert loaded.sources == [] and loaded.target.data.domain_id == "t"
+        _assert_same_model(model, loaded, rng.normal(size=(5, 2)))
 
     def test_multi_domain_target_pool_rejected(self, pool_dir):
-        save_bundle(pool_dir / "bundle.json", pool_dir / "targetpool.json",
-                    pool_dir / "sources.json")
-        with pytest.raises(DataLoadError, match="exactly one"):
-            load_bundle(pool_dir / "bundle.json")
+        sources = load_experts(pool_dir / "sources.json")
+        save_bundle(pool_dir / "bundle.json", GpdeModel(sources[:1], sources[1], [0.5, 0.5]))
+        path = pool_dir / "bundle.json"
+        payload = json.loads(path.read_text())
+        payload["target"]["domains"] *= 2
+        path.write_text(json.dumps(with_config_hash(payload)))
+        with pytest.raises(DataLoadError, match="exactly one domain") as err:
+            load_bundle(path)
+        assert str(path) in str(err.value)
 
     def test_mode_preserved(self, pool_dir):
-        save_bundle(pool_dir / "bundle.json", pool_dir / "sources.json",
-                    pool_dir / "targetpool.json", mode="multiclass")
+        sources = load_experts(pool_dir / "sources.json")
+        save_bundle(pool_dir / "bundle.json", GpdeModel(sources, None, [0.5, 0.5], "multiclass"))
         assert load_bundle(pool_dir / "bundle.json").mode == "multiclass"
