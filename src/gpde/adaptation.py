@@ -19,11 +19,10 @@ The correction only ever shrinks the predictive variance.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import InvalidInputError
 from .gp_core import (Dataset, Expert, PosteriorPrediction, _as_queries, _factor,
-                      _posterior_with_solve, posterior)
+                      _posterior_with_solve, _solve_lower, posterior)
 from .kernel import kernel_matrix
 
 __all__ = ["AdaptedExpert", "adapted_posterior"]
@@ -35,9 +34,15 @@ class AdaptedExpert:
     Caches the target-side factorization (the expensive, test-independent
     part); cross-covariances are computed per prediction batch.  Instances
     are immutable after construction and safe to share across batches.
+
+    The target-side kernel blocks depend only on the target inputs and the
+    source hyperparameters, so sources that share hyperparameters can share
+    them: ``K_tt`` (``K(X_t, X_t)``) here and ``K_t_star`` (``K(X_t, X_star)``)
+    in :meth:`posterior`, both computed with ``source.hyper`` and only read.
+    ``None`` computes them.
     """
 
-    def __init__(self, source: Expert, target: Dataset):
+    def __init__(self, source: Expert, target: Dataset, *, K_tt: np.ndarray | None = None):
         if target.dim != source.data.dim:
             raise InvalidInputError(
                 f"target has D={target.dim}, source expert has D={source.data.dim}"
@@ -52,21 +57,27 @@ class AdaptedExpert:
         # covariance (N_t x N_t), symmetrized against floating-point asymmetry.
         K_st = kernel_matrix(source.data.X, target.X, h=source.hyper)  # N_s x N_t
         prior_mean = K_st.T @ source.alpha
-        # N_s x N_t half-solve, reused for every cross-covariance batch
-        self._v_t = solve_triangular(source.chol, K_st, lower=True, check_finite=False)
-        prior_cov = kernel_matrix(target.X, h=source.hyper) - self._v_t.T @ self._v_t
+        # N_s x N_t half-solve, reused for every cross-covariance batch; K_st is consumed
+        self._v_t = _solve_lower(source.chol, K_st)
+        if K_tt is None:
+            K_tt = kernel_matrix(target.X, h=source.hyper)
+        prior_cov = K_tt - self._v_t.T @ self._v_t
         prior_cov = 0.5 * (prior_cov + prior_cov.T)
         self._chol_t, self._correction, self.jitter = _factor(  # source noise on target rows
             prior_cov, source.hyper.noise_std**2, target.Y - prior_mean)
 
-    def posterior(self, X_star) -> PosteriorPrediction:
+    def posterior(self, X_star, *, K_t_star: np.ndarray | None = None) -> PosteriorPrediction:
         """Adapted predictive mean and variance at ``X_star`` (M x D)."""
         X_star = _as_queries(self.source, X_star)
         base, v_star = _posterior_with_solve(self.source, X_star)
-        # source-posterior covariance between target inputs and test points (N_t x M)
-        cross = kernel_matrix(self.target.X, X_star, h=self.source.hyper) - self._v_t.T @ v_star
+        if K_t_star is None:
+            K_t_star = kernel_matrix(self.target.X, X_star, h=self.source.hyper)
+        # source-posterior covariance between target inputs and test points
+        # (N_t x M), formed in the product's buffer
+        cross = self._v_t.T @ v_star
+        np.subtract(K_t_star, cross, out=cross)
         mean = base.mean + cross.T @ self._correction
-        u = solve_triangular(self._chol_t, cross, lower=True, check_finite=False)
+        u = _solve_lower(self._chol_t, cross)  # cross is consumed
         variance = base.variance - np.sum(u * u, axis=0)
         np.maximum(variance, 0.0, out=variance)
         return PosteriorPrediction(mean=mean, variance=variance)

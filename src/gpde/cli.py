@@ -72,6 +72,9 @@ def _train_pool(args, paths: list[str]) -> int:
 
 def _cmd_adapt(args) -> int:
     sources, target = load_experts(args.source), None
+    if not sources:
+        raise DataLoadError(f"{args.source}: the --source pool holds no domain; "
+                            "run train-source with at least one --source CSV")
     if args.target:
         targets = load_experts(args.target)
         if len(targets) != 1:

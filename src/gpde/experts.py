@@ -25,7 +25,8 @@ import numpy as np
 from ._blas import blas_threads
 from .adaptation import AdaptedExpert
 from .exceptions import InvalidInputError
-from .gp_core import Dataset, Expert, fit, posterior, train_expert
+from .gp_core import Dataset, Expert, _as_queries, fit, posterior, train_expert
+from .kernel import kernel_matrix
 
 __all__ = [
     "VARIANCE_FLOOR",
@@ -212,15 +213,21 @@ def predict(model: GpdeModel, X_star) -> FusedPrediction:
 
     Source experts are conditioned on the target expert's data; without a
     target expert there is nothing to condition on, so they predict unadapted.
+    The sources share hyperparameters, so the target-side kernel blocks
+    ``K(X_t, X_t)`` and ``K(X_t, X_star)`` are formed once for all of them.
     """
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim == 1:
-        X_star = X_star[None, :]
     target = model.target
+    X_star = _as_queries((model.sources or [target])[0], X_star)
     with blas_threads(1):
-        preds = [posterior(src, X_star) if target is None
-                 else AdaptedExpert(src, target.data).posterior(X_star) for src in model.sources]
-        if target is not None:
+        if target is None:
+            preds = [posterior(src, X_star) for src in model.sources]
+        else:
+            preds = []
+            if model.sources:
+                h, X_t = model.sources[0].hyper, target.data.X
+                K_tt, K_t_star = kernel_matrix(X_t, h=h), kernel_matrix(X_t, X_star, h=h)
+                preds = [AdaptedExpert(src, target.data, K_tt=K_tt)
+                         .posterior(X_star, K_t_star=K_t_star) for src in model.sources]
             preds.append(posterior(target, X_star))
         means = [p.mean for p in preds]
         variances = [p.variance for p in preds]

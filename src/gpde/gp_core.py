@@ -24,7 +24,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.blas import dtrsm
 from scipy.optimize import minimize
 
 from ._blas import blas_threads
@@ -359,12 +360,23 @@ def _as_queries(e: Expert, X_star) -> np.ndarray:
     return X_star
 
 
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``L^-1 B`` for a lower-triangular ``L``, computed in the memory of a
+    C-ordered ``B``, which it overwrites.
+
+    The solve runs as the right-side solve ``B^T L^-T`` on ``B``'s
+    column-major view, so a row-major block needs no layout copy; any other
+    ``B`` is copied first and left as it was.
+    """
+    return dtrsm(1.0, L, B.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+
+
 def _posterior_with_solve(e: Expert, X_star: np.ndarray):
     """Posterior at checked test inputs plus the half-solve ``L^-1 K(X, X_star)``,
     which adaptation reuses for its cross-covariance."""
     K_star = kernel_matrix(e.data.X, X_star, h=e.hyper)  # N x M
     mean = K_star.T @ e.alpha
-    v = solve_triangular(e.chol, K_star, lower=True, check_finite=False)
+    v = _solve_lower(e.chol, K_star)  # K_star is consumed
     variance = e.hyper.signal_std**2 - np.sum(v * v, axis=0)
     np.maximum(variance, 0.0, out=variance)
     return PosteriorPrediction(mean=mean, variance=variance), v

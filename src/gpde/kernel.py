@@ -78,7 +78,8 @@ def squared_distances(X: np.ndarray, X_prime: np.ndarray | None = None) -> np.nd
 
     Uses the expansion ||x||^2 + ||x'||^2 - 2 x.x' and clamps tiny negative
     values produced by cancellation at zero.  When ``X_prime`` is omitted the
-    result is exactly symmetric with a zero diagonal.
+    result is exactly symmetric with a zero diagonal.  The M x N work runs in
+    place on two buffers, in the order ``(|x|^2 + |x'|^2) - 2 (x . x')``.
     """
     X = _as_matrix(X, "X")
     self_mode = X_prime is None or X_prime is X
@@ -89,10 +90,14 @@ def squared_distances(X: np.ndarray, X_prime: np.ndarray | None = None) -> np.nd
         )
     sq_x = np.sum(X * X, axis=1)
     sq_xp = sq_x if self_mode else np.sum(Xp * Xp, axis=1)
-    sq = sq_x[:, None] + sq_xp[None, :] - 2.0 * (X @ Xp.T)
+    sq = np.add.outer(sq_x, sq_xp)
+    gram = X @ Xp.T
+    gram *= 2.0
+    sq -= gram
     np.maximum(sq, 0.0, out=sq)
     if self_mode:
-        sq = 0.5 * (sq + sq.T)
+        sq = np.add(sq, sq.T, out=gram)
+        sq *= 0.5
         np.fill_diagonal(sq, 0.0)
     return sq
 
@@ -103,6 +108,11 @@ def kernel_matrix(X, X_prime=None, *, h: Hyperparams) -> np.ndarray:
     With ``X_prime=None`` (or the same array object) the Gram matrix K(X, X)
     is returned, exactly symmetric with diagonal ``signal_std**2``.
     """
-    sq = squared_distances(X, X_prime)
-    return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
+    K = squared_distances(X, X_prime)
+    # signal_std^2 exp(-0.5 sq / length_scale^2), evaluated in place
+    np.multiply(K, -0.5, out=K)
+    np.divide(K, h.length_scale**2, out=K)
+    np.exp(K, out=K)
+    np.multiply(K, h.signal_std**2, out=K)
+    return K
 

@@ -1,8 +1,8 @@
 """Self-describing JSON serialization for expert pools and model bundles.
 
-An *expert pool* file stores one shared hyperparameter triple (in log-space)
-plus the features and labels of every dataset it was trained on, so it
-reloads the experts that were trained whatever later happens to their CSVs.
+An *expert pool* file stores one shared hyperparameter triple plus the
+features and labels of every dataset it was trained on, so it reloads the
+experts that were trained whatever later happens to their CSVs.
 A *model bundle* stores the model itself: a ``sources`` and a ``target``
 section, each laid out like a pool, plus the combination weights and the
 decision mode, so it needs no other file.  Floats are written in ``repr``
@@ -32,6 +32,8 @@ __all__ = [
 
 POOL_KIND = "gpde_expert_pool"
 BUNDLE_KIND = "gpde_model_bundle"
+# Stored as ``repr`` floats, which round-trip exactly; log-space values do not.
+HYPER_FIELDS = ("length_scale", "signal_std", "noise_std")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -69,13 +71,8 @@ def _check_labels(data: Dataset) -> Dataset:
 
 def _experts_section(hyper: Hyperparams, datasets: list[Dataset]) -> dict:
     """The ``{"hyperparams", "domains"}`` of a pool, or of a bundle's sources or target."""
-    log_ell, log_sf, log_sv = hyper.to_log()
     return {
-        "hyperparams": {
-            "log_length_scale": log_ell,
-            "log_signal_std": log_sf,
-            "log_noise_std": log_sv,
-        },
+        "hyperparams": {name: getattr(hyper, name) for name in HYPER_FIELDS},
         "domains": [
             {"domain_id": d.domain_id, "X": d.X.tolist(), "Y": _check_labels(d).Y.tolist()}
             for d in datasets
@@ -92,13 +89,24 @@ def _dataset(domain: dict) -> Dataset:
     return _check_labels(Dataset(X, Y, domain["domain_id"]))
 
 
-def _read_experts(path, section, name: str) -> list[Expert]:
+def _hyperparams(hp: dict) -> Hyperparams:
+    """A section's stored hyperparameters; only JSON numbers are accepted."""
+    values = [hp[name] for name in HYPER_FIELDS]
+    if not all(type(v) in (int, float) for v in values):
+        raise TypeError(f"hyperparameters must be numbers, got {values!r}")
+    return Hyperparams(*map(float, values))
+
+
+def _read_experts(path, section, name: str, rerun: str) -> list[Expert]:
     """Rebuild the experts of an experts section from its stored arrays
-    (deterministic refactorization); ``name`` says where it sits in ``path``."""
+    (deterministic refactorization); ``name`` says where it sits in ``path``,
+    and ``rerun`` names the commands that write the file again."""
+    hp = section.get("hyperparams") if isinstance(section, dict) else None
+    if isinstance(hp, dict) and "log_length_scale" in hp:
+        raise DataLoadError(f"{path}: old-format log-space hyperparameters in the {name}, "
+                            f"which do not round-trip exactly; run {rerun} again")
     try:
-        hp = section["hyperparams"]
-        hyper = Hyperparams.from_log([hp["log_length_scale"], hp["log_signal_std"],
-                                      hp["log_noise_std"]])
+        hyper = _hyperparams(section["hyperparams"])
         datasets = [_dataset(d) for d in section["domains"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataLoadError(f"{path}: malformed {name} ({exc})") from None
@@ -118,7 +126,7 @@ def load_experts(path) -> list[Expert]:
     if isinstance(domains, list) and any(isinstance(d, dict) and "path" in d for d in domains):
         raise DataLoadError(f"{path}: an old-format pool that names CSV files instead of "
                             "holding their arrays; run train-source/train-target again")
-    return _read_experts(path, payload, "pool file")
+    return _read_experts(path, payload, "pool file", "train-source/train-target")
 
 
 def save_bundle(path, model: GpdeModel, seed: int | None = None) -> None:
@@ -143,7 +151,9 @@ def load_bundle(path) -> GpdeModel:
     if any(isinstance(payload.get(k), str) for k in ("sources", "target")):
         raise DataLoadError(f"{path}: an old-format bundle that names pool files instead of "
                             "holding their experts; run adapt again")
-    sources, target = (None if payload.get(k) is None else _read_experts(path, payload[k], k)
+    sources, target = (None if payload.get(k) is None
+                       else _read_experts(path, payload[k], k,
+                                          "train-source/train-target and adapt")
                        for k in ("sources", "target"))
     if target is not None and len(target) != 1:
         raise DataLoadError(f"{path}: the target must hold exactly one domain, not {len(target)}")

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from gpde import (
     AdaptedExpert,
     Dataset,
+    Hyperparams,
     InvalidInputError,
     adapted_posterior,
+    kernel_matrix,
     posterior,
     train_expert,
 )
+from gpde.gp_core import _solve_lower
 
 from conftest import random_dataset, random_hyper
 
@@ -102,3 +106,49 @@ class TestAdaptedPosterior:
         bad_tgt = random_dataset(rng, n=3, d=2, c=1, domain_id="t")
         with pytest.raises(InvalidInputError):
             adapted_posterior(e, bad_tgt, rng.normal(size=(2, 2)))
+
+
+@pytest.fixture(scope="module")
+def wide_expert():
+    """A source expert of the benchmark's size: 120 rows, D=3, C=2."""
+    rng = np.random.default_rng(7)
+    return train_expert(random_dataset(rng, n=120, d=3, c=2), Hyperparams(1.3, 0.9, 0.1))
+
+
+class TestRowMajorSolve:
+    @pytest.mark.parametrize("m", [0, 1, 7, 300, 3000])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_solve_triangular(self, wide_expert, m, order):
+        e = wide_expert
+        Xq = np.random.default_rng(m).normal(size=(m, 3))
+        B = np.asarray(kernel_matrix(e.data.X, Xq, h=e.hyper), order=order)
+        ref = solve_triangular(e.chol, B, lower=True, check_finite=False)
+        out = _solve_lower(e.chol, B.copy(order="K"))
+        assert out.shape == ref.shape == (120, m)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+    def test_row_major_block_solved_in_its_own_memory(self, wide_expert):
+        e = wide_expert
+        B = kernel_matrix(e.data.X, np.zeros((5, 3)), h=e.hyper)
+        assert np.shares_memory(_solve_lower(e.chol, B), B)
+        F = np.asfortranarray(B)
+        saved = F.copy()
+        assert not np.shares_memory(_solve_lower(e.chol, F), F)
+        assert np.array_equal(F, saved)
+
+    def test_prediction_writes_no_cached_or_caller_array(self, wide_expert, rng):
+        e = wide_expert
+        target = random_dataset(rng, n=40, d=3, c=2, domain_id="t")
+        K_tt = kernel_matrix(target.X, h=e.hyper)
+        ae = AdaptedExpert(e, target, K_tt=K_tt)
+        X_star = rng.normal(size=(300, 3))
+        K_t_star = kernel_matrix(target.X, X_star, h=e.hyper)
+        arrays = [e.chol, e.alpha, e.data.X, ae._v_t, ae._chol_t, ae._correction, target.X,
+                  X_star, K_tt, K_t_star]
+        saved = [a.copy() for a in arrays]
+        first = ae.posterior(X_star, K_t_star=K_t_star)
+        again = ae.posterior(X_star)
+        posterior(e, X_star)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, saved))
+        assert np.array_equal(first.mean, again.mean)
+        assert np.array_equal(first.variance, again.variance)

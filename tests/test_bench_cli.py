@@ -13,10 +13,12 @@ from gpde import (
     BenchmarkSpec,
     ConfigError,
     Dataset,
+    Hyperparams,
     ShiftConfig,
     load_dataset,
     run_benchmark,
     save_dataset,
+    save_expert_pool,
     synth_shift,
     write_result_table,
 )
@@ -374,38 +376,38 @@ class TestCliErrors:
         assert run_cli("synth", "--out", tmp_path / "corpus", flag, value) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
 
-    @pytest.mark.parametrize("bundle, domain, log_length_scale", [
-        ([1, 2], {}, 0.0),
-        (BUNDLE, {"X": DROP}, 0.0),
-        (BUNDLE, {"X": DROP, "Y": DROP, "path": "source_0.csv"}, 0.0),
-        ({**BUNDLE, "betas": "x"}, {}, 0.0),
-        ({**BUNDLE, "sources": "pool.json", "betas": None}, {}, 0.0),
-        ({**BUNDLE, "sources": 5}, {}, 0.0),
+    @pytest.mark.parametrize("bundle, domain, length_scale", [
+        ([1, 2], {}, 1.0),
+        (BUNDLE, {"X": DROP}, 1.0),
+        (BUNDLE, {"X": DROP, "Y": DROP, "path": "source_0.csv"}, 1.0),
+        ({**BUNDLE, "betas": "x"}, {}, 1.0),
+        ({**BUNDLE, "sources": "pool.json", "betas": None}, {}, 1.0),
+        ({**BUNDLE, "sources": 5}, {}, 1.0),
         (BUNDLE, {}, "x"),
-        (BUNDLE, {"X": [[0.1, 0.2], [0.3]]}, 0.0),
-        (BUNDLE, {"X": [[0.1, "0.2"], [0.3, 0.4]]}, 0.0),
-        (BUNDLE, {"X": [[0.1, float("nan")], [0.3, 0.4]]}, 0.0),
-        (BUNDLE, {"X": [[0.1, float("inf")], [0.3, 0.4]]}, 0.0),
-        (BUNDLE, {"X": [[0.1, 10**400], [0.3, 0.4]]}, 0.0),
-        (BUNDLE, {"X": [[0.1, 0.2]]}, 0.0),
-        (BUNDLE, {"Y": [[0.5, 1.0], [-1.0, 1.0]]}, 0.0),
-        (BUNDLE, {"domain_id": 5}, 0.0),
+        (BUNDLE, {"X": [[0.1, 0.2], [0.3]]}, 1.0),
+        (BUNDLE, {"X": [[0.1, "0.2"], [0.3, 0.4]]}, 1.0),
+        (BUNDLE, {"X": [[0.1, float("nan")], [0.3, 0.4]]}, 1.0),
+        (BUNDLE, {"X": [[0.1, float("inf")], [0.3, 0.4]]}, 1.0),
+        (BUNDLE, {"X": [[0.1, 10**400], [0.3, 0.4]]}, 1.0),
+        (BUNDLE, {"X": [[0.1, 0.2]]}, 1.0),
+        (BUNDLE, {"Y": [[0.5, 1.0], [-1.0, 1.0]]}, 1.0),
+        (BUNDLE, {"domain_id": 5}, 1.0),
         (BUNDLE, {}, 10**400),
-        ({**BUNDLE, "betas": [10**400]}, {}, 0.0),
+        ({**BUNDLE, "betas": [10**400]}, {}, 1.0),
     ], ids=["json-array", "domain-without-x", "old-format-domain", "string-betas",
             "old-format-bundle", "numeric-sources", "string-hyperparameter", "ragged-x",
             "string-entry", "json-nan", "overflowing-float", "huge-int-entry",
             "x-y-row-mismatch", "fractional-label", "numeric-domain-id",
             "huge-int-hyperparameter", "huge-int-beta"])
     def test_predict_on_malformed_model_file(self, corpus, tmp_path, capsys, bundle,
-                                             domain, log_length_scale):
+                                             domain, length_scale):
         """A defect in a domain entry or the hyperparameters is met both in a
         bundle's sources (by ``predict``) and in a pool (by ``adapt``)."""
         domain = {"domain_id": "source_0", "X": [[0.1, 0.2], [0.3, 0.4]],
                   "Y": [[1.0, -1.0], [-1.0, 1.0]], **domain}
         section = {"domains": [{k: v for k, v in domain.items() if v is not DROP}],
-                   "hyperparams": {"log_length_scale": log_length_scale, "log_signal_std": 0.0,
-                                   "log_noise_std": -1.0}}
+                   "hyperparams": {"length_scale": length_scale, "signal_std": 1.0,
+                                   "noise_std": 0.5}}
         in_domain = bundle is BUNDLE
         if isinstance(bundle, dict):
             bundle = {"sources": section, **bundle}
@@ -450,13 +452,45 @@ class TestCliErrors:
         assert err.startswith(f"error: {old}: an old-format {kind}")
         assert err.rstrip().endswith(f"run {rerun} again")
 
+    @pytest.mark.parametrize("kind", ["pool", "bundle"])
+    def test_log_space_hyperparameters_name_the_command_to_rerun(self, corpus, tmp_path,
+                                                                 capsys, kind):
+        """Pools and bundles stored log-space hyperparameters before they
+        stored the exact values."""
+        old = tmp_path / "old.json"
+        section = {"hyperparams": {"log_length_scale": 0.0, "log_signal_std": 0.0,
+                                   "log_noise_std": -1.0},
+                   "domains": [{"domain_id": "source_0", "X": [[0.1, 0.2], [0.3, 0.4]],
+                                "Y": [[1.0, -1.0], [-1.0, 1.0]]}]}
+        if kind == "pool":
+            payload = {"kind": "gpde_expert_pool", "seed": 0, **section}
+            argv, rerun = ("adapt", "--source", old, "--out", tmp_path / "m.json"), \
+                "train-source/train-target"
+        else:
+            payload = {**BUNDLE, "sources": section, "seed": 0}
+            argv, rerun = ("predict", "--model", old, "--data", corpus / "target_test.csv"), \
+                "train-source/train-target and adapt"
+        old.write_text(json.dumps(with_config_hash(payload)))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: old-format log-space hyperparameters")
+        assert err.rstrip().endswith(f"run {rerun} again")
+
+    def test_adapt_on_empty_source_pool_names_the_file(self, tmp_path, capsys):
+        pool = tmp_path / "empty.json"
+        save_expert_pool(pool, Hyperparams(1.0, 1.0, 0.1), [])
+        assert run_cli("adapt", "--source", pool, "--out", tmp_path / "model.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pool}: ") and "--source" in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_predict_on_edited_bundle_file(self, corpus, tmp_path, capsys):
         pool, model = tmp_path / "sources.json", tmp_path / "model.json"
         assert run_cli("train-source", "--source", corpus / "source_0.csv",
                        "--out", pool) == 0
         assert run_cli("adapt", "--source", pool, "--out", model) == 0
         payload = json.loads(model.read_text())
-        payload["sources"]["hyperparams"]["log_length_scale"] += 0.1
+        payload["sources"]["hyperparams"]["length_scale"] += 0.1
         model.write_text(json.dumps(payload))
         capsys.readouterr()
         code = run_cli("predict", "--model", model, "--data", corpus / "target_test.csv")
@@ -469,7 +503,7 @@ class TestCliErrors:
         assert run_cli("train-source", "--source", corpus / "source_0.csv",
                        "--out", pool) == 0
         payload = json.loads(pool.read_text())
-        payload["hyperparams"]["log_length_scale"] += 0.1
+        payload["hyperparams"]["length_scale"] += 0.1
         pool.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run_cli("adapt", "--source", pool, "--out", tmp_path / "model.json") == 2

@@ -3,21 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpde.adaptation as adaptation
+import gpde.experts as experts
+import gpde.gp_core as gp_core
 from gpde import (
+    AdaptedExpert,
     Dataset,
     GpdeModel,
     InvalidInputError,
+    ShiftConfig,
     adapted_posterior,
     expert_weights,
     fuse,
     hard_labels,
     posterior,
     predict,
+    synth_shift,
     train_gpde,
     train_source_experts,
     train_target_expert,
     uniform_betas,
 )
+from gpde._blas import blas_threads
 from gpde.experts import BETA_SUM_TOL, VARIANCE_FLOOR
 
 from conftest import random_dataset, random_hyper
@@ -221,6 +228,44 @@ class TestPredict:
         model = make_model(rng)
         with pytest.raises(InvalidInputError):
             predict(model, rng.normal(size=(3, 5)))
+
+
+@pytest.fixture(scope="module")
+def serve_model():
+    """The benchmark's serve-sized model: 5 x 120 sources, 100 target rows."""
+    sources, pool, test = synth_shift(ShiftConfig(n_target_test=300))
+    return train_gpde(sources, Dataset(pool.X[:100], pool.Y[:100], "target")), test.X
+
+
+class TestSharedTargetBlocks:
+    """``predict`` forms ``K(X_t, X_t)`` and ``K(X_t, X_star)`` once for all
+    sources, which share hyperparameters."""
+
+    def test_predict_equals_per_source_adaptation(self, serve_model):
+        model, X = serve_model
+        fused = predict(model, X)
+        for e, mean, variance in zip(model.sources, fused.per_expert_means,
+                                     fused.per_expert_variances):
+            with blas_threads(1):  # predict's setting; sums can group by thread count
+                ref = AdaptedExpert(e, model.target.data).posterior(X)
+            assert np.array_equal(mean, ref.mean)
+            assert np.array_equal(variance, ref.variance)
+
+    def test_kernel_blocks_per_call(self, serve_model, monkeypatch):
+        model, X = serve_model
+        calls = []
+        original = gp_core.kernel_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in (gp_core, adaptation, experts):
+            monkeypatch.setattr(module, "kernel_matrix", counted)
+        predict(model, X[:3])
+        # shared K(X_t, X_t) and K(X_t, X_star); K(X_s, X_t) and K(X_s, X_star)
+        # per source; K(X_t, X_star) at the target's own hyperparameters
+        assert len(calls) == 2 + 2 * len(model.sources) + 1
 
 
 class TestMethodConfigurations:

@@ -115,3 +115,38 @@ class TestKernelMatrix:
         assert np.all(K <= h.signal_std**2 + 1e-12)
         assert np.all(K > 0.0)
 
+
+
+def plain_squared_distances(X, Xp=None):
+    """``squared_distances`` written as whole-array expressions, each of which
+    allocates its result."""
+    self_mode = Xp is None
+    Xp = X if self_mode else Xp
+    sq_x = np.sum(X * X, axis=1)
+    sq_xp = sq_x if self_mode else np.sum(Xp * Xp, axis=1)
+    sq = sq_x[:, None] + sq_xp[None, :] - 2.0 * (X @ Xp.T)
+    np.maximum(sq, 0.0, out=sq)
+    if self_mode:
+        sq = 0.5 * (sq + sq.T)
+        np.fill_diagonal(sq, 0.0)
+    return sq
+
+
+def plain_kernel_matrix(X, Xp=None, *, h):
+    sq = plain_squared_distances(X, Xp)
+    return h.signal_std**2 * np.exp(-0.5 * sq / h.length_scale**2)
+
+
+class TestInPlaceEvaluation:
+    """The in-place kernels run the plain expressions' operations in the same
+    order, so they give the same bits."""
+
+    @pytest.mark.parametrize("n, m, d", [(1, 1, 1), (7, 0, 2), (50, 1, 5), (120, 300, 3)])
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0])
+    def test_bits_equal_plain_expressions(self, rng, n, m, d, scale):
+        X, Z = scale * rng.normal(size=(n, d)), scale * rng.normal(size=(m, d))
+        h = random_hyper(rng)
+        assert np.array_equal(squared_distances(X), plain_squared_distances(X))
+        assert np.array_equal(squared_distances(X, Z), plain_squared_distances(X, Z))
+        assert np.array_equal(kernel_matrix(X, h=h), plain_kernel_matrix(X, h=h))
+        assert np.array_equal(kernel_matrix(X, Z, h=h), plain_kernel_matrix(X, Z, h=h))

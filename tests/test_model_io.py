@@ -17,6 +17,7 @@ from gpde import (
     predict,
     save_bundle,
     save_expert_pool,
+    train_expert,
     train_gpde,
     uniform_betas,
 )
@@ -98,7 +99,7 @@ class TestExpertPool:
     def test_edited_hyperparameter_rejected(self, pool_dir):
         path = pool_dir / "sources.json"
         payload = json.loads(path.read_text())
-        payload["hyperparams"]["log_noise_std"] += 0.5
+        payload["hyperparams"]["noise_std"] += 0.5
         path.write_text(json.dumps(payload))
         with pytest.raises(DataLoadError, match="config_hash") as err:
             load_experts(path)
@@ -175,3 +176,26 @@ class TestBundle:
         sources = load_experts(pool_dir / "sources.json")
         save_bundle(pool_dir / "bundle.json", GpdeModel(sources, None, [0.5, 0.5], "multiclass"))
         assert load_bundle(pool_dir / "bundle.json").mode == "multiclass"
+
+
+class TestExactHyperparameters:
+    # a triple in the form fit returns, which exp(log(h)) misses by one ulp
+    HYPER = Hyperparams(length_scale=5.422563343957166, signal_std=1.8628828768463397,
+                        noise_std=0.21673218136665054)
+
+    def test_reloaded_bundle_predicts_the_same_bits(self, tmp_path, rng):
+        h = self.HYPER
+        assert Hyperparams.from_log(h.to_log()) != h  # log-space storage changed it
+        sources = [train_expert(random_dataset(rng, n=12, d=2, c=2, domain_id=f"s{k}"), h)
+                   for k in range(2)]
+        target = train_expert(random_dataset(rng, n=8, d=2, c=2, domain_id="t"), h)
+        model = GpdeModel(sources, target, uniform_betas(3))
+        save_bundle(tmp_path / "bundle.json", model)
+        loaded = load_bundle(tmp_path / "bundle.json")
+        _assert_same_model(model, loaded, rng.normal(size=(20, 2)))
+        assert all(e.hyper == h for e in loaded.sources + [loaded.target])
+
+    def test_reloaded_pool_keeps_the_hyperparameters(self, tmp_path, rng):
+        save_expert_pool(tmp_path / "pool.json", self.HYPER, [random_dataset(rng)])
+        (loaded,) = load_experts(tmp_path / "pool.json")
+        assert loaded.hyper == self.HYPER
