@@ -48,7 +48,6 @@ from .gp_core import (
     Expert,
     FitResult,
     PosteriorPrediction,
-    default_init,
     fit,
     fit_detailed,
     log_marginal_likelihood,
@@ -66,7 +65,7 @@ __all__ = [
     # kernel / core GP
     "Hyperparams", "kernel_matrix", "squared_distances",
     "Dataset", "Expert", "PosteriorPrediction", "FitResult",
-    "log_marginal_likelihood", "default_init", "fit", "fit_detailed",
+    "log_marginal_likelihood", "fit", "fit_detailed",
     "train_expert", "posterior",
     # adaptation
     "AdaptedExpert", "adapted_posterior",

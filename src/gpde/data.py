@@ -37,7 +37,6 @@ __all__ = [
     "pca_fit",
     "pca_apply",
     "ShiftConfig",
-    "latent_label_fn",
     "synth_shift",
     "load_shift_config",
     "save_shift_config",
@@ -244,7 +243,7 @@ class ShiftConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def latent_label_fn(cfg: ShiftConfig):
+def _latent_label_fn(cfg: ShiftConfig):
     """The latent score function shared by every domain of ``cfg``.
 
     Returns a callable mapping (N x dims) features to (N x n_outputs) real
@@ -314,7 +313,7 @@ def synth_shift(cfg: ShiftConfig) -> tuple[list[Dataset], Dataset, Dataset]:
     domain is rotated and translated by ``shift_magnitude``.  All labels come
     from one shared latent function, evaluated at the sampled points.
     """
-    score_fn = latent_label_fn(cfg)
+    score_fn = _latent_label_fn(cfg)
     sources = []
     for k in range(cfg.n_source_domains):
         rotation, translation = _domain_transform(cfg, k)

@@ -18,7 +18,7 @@ from gpde import (
     save_shift_config,
     synth_shift,
 )
-from gpde.data import latent_label_fn
+from gpde.data import _latent_label_fn
 
 
 class TestCsvRoundTrip:
@@ -197,7 +197,7 @@ class TestSynthShift:
 
     def test_labels_follow_shared_latent_function(self):
         cfg = ShiftConfig(seed=7, **SMALL)
-        score = latent_label_fn(cfg)
+        score = _latent_label_fn(cfg)
         for d in [*synth_shift(cfg)[0], synth_shift(cfg)[1]]:
             expected = np.where(score(d.X) >= 0.0, 1.0, -1.0)
             assert np.array_equal(d.Y, expected)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.stats import multivariate_normal
 
 from gpde import (
@@ -11,7 +12,6 @@ from gpde import (
     InvalidInputError,
     NumericalError,
     ShiftConfig,
-    default_init,
     fit,
     fit_detailed,
     kernel_matrix,
@@ -20,11 +20,12 @@ from gpde import (
     pca_fit,
     posterior,
     run_benchmark,
+    squared_distances,
     synth_shift,
     train_expert,
 )
 import gpde.gp_core as gp_core
-from gpde.gp_core import cholesky_with_jitter
+from gpde.gp_core import _default_init, cholesky_with_jitter
 
 from conftest import random_dataset, random_hyper
 
@@ -101,6 +102,22 @@ class TestLogMarginalLikelihood:
                 fd = (fp - fm) / (2 * eps)
                 assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    def test_gradient_matches_dense_inverse_formula(self, rng):
+        # The gradient sums over dpotri's lower triangle of Kn^-1; the
+        # reference forms the whole inverse with cho_solve(L, I) and takes
+        # 1/2 tr[(alpha alpha^T - C Kn^-1) dK/dtheta] over full matrices.
+        shapes = [(1, 1), (1, 3)] + [(int(rng.integers(2, 60)), int(rng.integers(1, 4)))
+                                     for _ in range(10)]
+        for n, c in shapes:
+            data = random_dataset(rng, n=n, d=int(rng.integers(1, 4)), c=c)
+            h = random_hyper(rng)
+            sq = squared_distances(data.X)
+            _, (K, L, alpha) = gp_core._lml_value(sq, data.Y, h)
+            T = alpha @ alpha.T - c * cho_solve((L, True), np.eye(n))
+            dense = [0.5 * np.sum(T * K * sq) / h.length_scale**2, np.sum(T * K),
+                     h.noise_std**2 * np.trace(T)]
+            assert np.allclose(gp_core._lml_grad(sq, h, K, L, alpha), dense, rtol=1e-10, atol=0.0)
+
     def test_single_point_closed_form(self):
         # N=1, C=1: log N(y; 0, sf^2 + sv^2)
         data = Dataset(X=np.zeros((1, 1)), Y=np.array([[1.0]]), domain_id="d")
@@ -163,6 +180,21 @@ class TestFit:
             fit([da, db])
         text = str(record[0].message)
         assert "['dom_a', 'dom_b']" in text and "N=17" in text and message in text
+
+    def test_fit_record_counts_evaluations_and_final_gradient(self, rng, monkeypatch):
+        data = random_dataset(rng, n=15, d=2, c=2)
+        calls = []
+        real = gp_core._lml_value
+        monkeypatch.setattr(gp_core, "_lml_value", lambda *args: calls.append(1) or real(*args))
+        res = fit_detailed([data])
+        assert res.n_eval == len(calls) > res.n_iter
+        _, g = log_marginal_likelihood(data, res.hyper)
+        assert res.grad_max == pytest.approx(np.max(np.abs(g)), rel=1e-6, abs=1e-12)
+        monkeypatch.setattr(gp_core, "MAX_ITER", 1)
+        record = fit_detailed([data])
+        with pytest.warns(RuntimeWarning, match=f"{record.n_eval} evaluations") as warned:
+            fit([data])
+        assert f"max |gradient| {record.grad_max:.3g}" in str(warned[0].message)
 
     def test_optimizer_converged_fit_does_not_warn(self):
         # Fold 0's 10-row target fit on the benchmark's protocol corpus
@@ -230,7 +262,7 @@ class TestFit:
 
     def test_default_init_is_sane(self, rng):
         data = random_dataset(rng, n=30, d=3, c=2)
-        h = default_init([data])
+        h = _default_init([data])
         assert h.length_scale > 0 and h.signal_std > 0 and h.noise_std > 0
 
 

@@ -12,10 +12,12 @@ import gpde
 MODULES = ["gpde"] + [m.name for m in pkgutil.iter_modules(gpde.__path__, "gpde.")]
 
 REMOVED = {
-    "gpde": ["kernel_eval", "retarget", "load_expert_pool"],
+    "gpde": ["kernel_eval", "retarget", "load_expert_pool", "default_init", "latent_label_fn"],
     "gpde.kernel": ["kernel_eval"],
     "gpde.experts": ["retarget"],
     "gpde.model_io": ["load_expert_pool"],
+    "gpde.gp_core": ["default_init"],
+    "gpde.data": ["latent_label_fn"],
 }
 
 
