@@ -15,6 +15,21 @@ lower triangle, and sums each symmetric trace over that triangle.  Because
 is finished with at most two capped Newton steps on the gradient, which
 pin well-posed fits to about 1e-14 whatever the thread count.
 
+A fit evaluates the objective some hundred times on matrices of one size,
+so it allocates one workspace, two N x N buffers for its largest domain,
+and every evaluation works in them: K is built in the first; K + noise^2 I
+is copied into the second and factorized there by ``dpotrf``, whose
+column-major view of that buffer is the matrix itself because K is
+symmetric bit for bit; ``dpotrs`` takes the label solve and ``dpotri``
+overwrites the factor with the inverse; K o sq replaces K once the signal
+gradient has read it.  These are the LAPACK calls scipy's ``cholesky``,
+``cho_solve`` and ``dpotri`` wrappers make, on the same numbers, so the
+bits are the same; only the fresh N x N arrays, and the page faults of
+mapping them, are gone.  The fit also runs with subnormals flushed to zero
+(:func:`gpde._blas.flush_subnormals`): at short length-scales the kernel
+underflows, and subnormal operands stall the factorizations, while terms
+that small never reach a rounded sum.
+
 A trained :class:`Expert` caches the Cholesky factor of ``K + noise^2 I``
 and the solve against the label matrix, so prediction reduces to triangular
 solves.
@@ -28,16 +43,16 @@ continuous GP draws).
 from __future__ import annotations
 
 import logging
+import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
-from ._blas import blas_threads
+from ._blas import blas_threads, flush_subnormals
 from .exceptions import InvalidInputError, NumericalError
 from .kernel import Hyperparams, kernel_matrix, squared_distances
 
@@ -159,6 +174,8 @@ class FitResult:
     ``objective`` and ``grad_max`` (max |gradient| in log-space) are at the
     returned point, after the Newton finish.  ``n_eval`` counts the
     objective-and-gradient evaluations of both starts and of the finish.
+    ``start`` is the start that won, 0 for the initial point and 1 for its
+    quarter-length-scale twin, and ``seconds`` the fit's wall time.
     """
 
     hyper: Hyperparams
@@ -167,61 +184,82 @@ class FitResult:
     n_iter: int
     n_eval: int
     grad_max: float
+    start: int
+    seconds: float
     trace: list[float] = field(default_factory=list)
     message: str = ""
 
 
-def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of a symmetric PSD matrix, escalating jitter on failure.
+def cholesky_with_jitter(K: np.ndarray, shift: float = 0.0,
+                         out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``K + shift I`` for a PSD ``K`` that is
+    symmetric bit for bit, escalating jitter on failure.
 
-    Jitter starts at ``JITTER_START * mean(diag)`` and grows by factors of
+    ``K`` is left as it is.  The factor is formed in ``out``, a C-ordered
+    array of ``K``'s shape that it overwrites, or else in a new array, and
+    returned as its column-major view.  Jitter starts at
+    ``JITTER_START * mean(diag)`` of ``K + shift I`` and grows by factors of
     ``JITTER_GROWTH`` up to ``JITTER_MAX * mean(diag)``; beyond that a
     :class:`NumericalError` reports the attempted range.
     """
-    try:
-        return cholesky(A, lower=True, check_finite=False), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    diag_mean = float(np.mean(np.diagonal(A)))
+    n = K.shape[0]
+    A = np.empty((n, n)) if out is None else out
+
+    def factor(jitter: float) -> np.ndarray | None:
+        """dpotrf of ``K + shift I + jitter I`` in ``A``, or None if not PD.
+        ``A.T`` is column-major, so LAPACK works in place; as K is
+        symmetric, it is the same matrix."""
+        np.copyto(A, K)
+        A.flat[:: n + 1] += shift
+        if jitter:
+            A.flat[:: n + 1] += jitter
+        L, info = dpotrf(A.T, lower=1, overwrite_a=1)
+        return L if info == 0 else None
+
+    L = factor(0.0)
+    if L is not None:
+        return L, 0.0
+    diag_mean = float(np.mean(np.diagonal(K) + shift))
     scale = diag_mean if diag_mean > 0 else 1.0
     jitter = JITTER_START * scale
     while jitter <= JITTER_MAX * scale:
-        try:
-            L = cholesky(_add_to_diagonal(A, jitter), lower=True, check_finite=False)
+        L = factor(jitter)
+        if L is not None:
             logger.debug("Cholesky needed jitter %.3e (relative %.1e)", jitter, jitter / scale)
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter *= JITTER_GROWTH
+        jitter *= JITTER_GROWTH
     raise NumericalError(
         "Cholesky failed after escalating jitter up to "
         f"{JITTER_MAX * scale:.3e} ({JITTER_START:.0e}..{JITTER_MAX:.0e} x mean diagonal)"
     )
 
 
-def _add_to_diagonal(A: np.ndarray, value: float) -> np.ndarray:
-    """``A + value I`` as a new array, bit for bit: off the diagonal x + 0.0 == x."""
-    B = A.copy()
-    B.flat[:: A.shape[0] + 1] += value
-    return B
+def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray, out: np.ndarray | None = None):
+    """Lower Cholesky factor ``L`` of ``K + noise_var I`` (formed in ``out``
+    when given), the solve ``alpha`` of that matrix against ``Y``, and the
+    jitter the factorization needed."""
+    L, jitter = cholesky_with_jitter(K, noise_var, out)
+    alpha, info = dpotrs(L, Y, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return L, alpha, jitter
 
 
-def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray):
-    """Lower Cholesky factor ``L`` of ``K + noise_var I``, the solve ``alpha``
-    of that matrix against ``Y``, and the jitter the factorization needed."""
-    L, jitter = cholesky_with_jitter(_add_to_diagonal(K, noise_var))
-    return L, cho_solve((L, True), Y, check_finite=False), jitter
-
-
-def _lml_value(sq: np.ndarray, Y: np.ndarray, h: Hyperparams):
+def _lml_value(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work=None):
     """Log-marginal likelihood from a precomputed squared-distance matrix, plus
-    the factors ``(K, L, alpha)`` that :func:`_lml_grad` takes at the same point."""
+    the factors ``(K, L, alpha)`` that :func:`_lml_grad` takes at the same point.
+
+    ``work`` is a pair of C-ordered arrays of ``sq``'s shape that receive K
+    and L, overwritten; without it both are new arrays.
+    """
     n, c = Y.shape
+    K_out, L_out = (None, None) if work is None else work
     # signal_std^2 exp(-0.5 sq / length_scale^2) in one buffer
-    K = np.multiply(sq, -0.5)
+    K = np.multiply(sq, -0.5, out=K_out)
     K /= h.length_scale**2
     np.exp(K, out=K)
     K *= h.signal_std**2
-    L, alpha, _ = _factor(K, h.noise_std**2, Y)
+    L, alpha, _ = _factor(K, h.noise_std**2, Y, L_out)
     quad = float(np.sum(Y * alpha))
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
     value = -0.5 * quad - 0.5 * c * logdet - 0.5 * n * c * LOG_2PI
@@ -231,13 +269,14 @@ def _lml_value(sq: np.ndarray, Y: np.ndarray, h: Hyperparams):
 def _lml_grad(sq: np.ndarray, h: Hyperparams, K: np.ndarray, L: np.ndarray,
               alpha: np.ndarray) -> np.ndarray:
     """Log-space gradient of the log-marginal likelihood from the factors
-    :func:`_lml_value` returned at ``h``."""
+    :func:`_lml_value` returned at ``h``.  It consumes them: ``L`` is
+    overwritten with the inverse and ``K`` with ``K o sq``."""
     c = alpha.shape[1]
     # d/dtheta = 1/2 tr[(alpha alpha^T - C Kn^-1) dK/dtheta], theta in log-space,
     # with dK/dlog(ell) = K o sq / ell^2, dK/dlog(sf) = 2K, dK/dlog(sv) = 2 sv^2 I.
-    # dpotri leaves Kn^-1 in the lower triangle of P and zeros above, so for a
-    # symmetric S, sum(Kn^-1 o S) = 2 sum(P o S) - sum(diag(P) diag(S)).
-    P, info = dpotri(L, lower=1)
+    # dpotri writes Kn^-1 over L's lower triangle, and dpotrf left zeros above
+    # it, so for a symmetric S, sum(Kn^-1 o S) = 2 sum(P o S) - sum(diag(P) diag(S)).
+    P, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
     P_diag = np.diagonal(P)
@@ -248,9 +287,9 @@ def _lml_grad(sq: np.ndarray, h: Hyperparams, K: np.ndarray, L: np.ndarray,
         inv_part = 2.0 * np.vdot(P.T, S) - np.vdot(P_diag, np.diagonal(S))
         return float(np.vdot(alpha, S @ alpha) - c * inv_part)
 
-    K_sq = K * sq
-    g_ell = 0.5 * trace_term(K_sq) / h.length_scale**2
     g_sf = trace_term(K)
+    K *= sq
+    g_ell = 0.5 * trace_term(K) / h.length_scale**2
     g_sv = h.noise_std**2 * float(np.vdot(alpha, alpha) - c * np.sum(P_diag))
     return np.array([g_ell, g_sf, g_sv])
 
@@ -317,16 +356,28 @@ def fit_detailed(datasets: list[Dataset], init: Hyperparams | None = None) -> Fi
     the winning start's objective per L-BFGS-B iteration, non-decreasing;
     ``n_iter`` counts the iterations of both starts.  A single-element list
     is ordinary GP training.
+
+    Every evaluation works in one workspace of two N x N buffers, sized for
+    the largest domain and freed when the fit returns, and the fit runs
+    with subnormals flushed to zero in the calling thread (see the module
+    docstring); both leave every result bit for bit as it would be without
+    them.
     """
     _validate_fit_inputs(datasets)
-    with blas_threads(1):
+    with blas_threads(1), flush_subnormals():
         return _fit(datasets, init)
 
 
 def _fit(datasets: list[Dataset], init: Hyperparams | None) -> FitResult:
     """:func:`fit_detailed` on validated inputs."""
+    t0 = time.perf_counter()
     h0 = init or _default_init(datasets)
-    parts = [(squared_distances(d.X), d.Y) for d in datasets]
+    # two buffers, each the size of the largest domain's K; every domain's
+    # K and L are C-ordered views of their leading entries
+    workspace = np.empty((2, max(d.n for d in datasets) ** 2))
+    parts = [(squared_distances(d.X), d.Y,
+              [buffer[: d.n * d.n].reshape(d.n, d.n) for buffer in workspace])
+             for d in datasets]
 
     def objective(z: np.ndarray):
         """Summed objective and gradient at ``z``; each matrix is factorized
@@ -334,8 +385,8 @@ def _fit(datasets: list[Dataset], init: Hyperparams | None) -> FitResult:
         try:
             h = Hyperparams.from_log(z)
             total, grad = 0.0, np.zeros(3)
-            for sq, Y in parts:
-                value, factors = _lml_value(sq, Y, h)
+            for sq, Y, work in parts:
+                value, factors = _lml_value(sq, Y, h, work)
                 total += value
                 grad += _lml_grad(sq, h, *factors)
         except (NumericalError, InvalidInputError, OverflowError):
@@ -367,7 +418,8 @@ def _fit(datasets: list[Dataset], init: Hyperparams | None) -> FitResult:
     second, second_trace = ascend(z0 + [np.log(SECOND_START_ELL), 0.0, 0.0])
     n_iter = best.nit + second.nit
     n_eval = best.nfev + second.nfev
-    if second.fun < best.fun:
+    start = int(second.fun < best.fun)
+    if start:
         best, trace = second, second_trace
     z, value, grad, finish_evals = _newton_finish(objective, best.x, -float(best.fun), -best.jac)
     return FitResult(
@@ -377,6 +429,8 @@ def _fit(datasets: list[Dataset], init: Hyperparams | None) -> FitResult:
         n_iter=n_iter,
         n_eval=n_eval + finish_evals,
         grad_max=float(np.max(np.abs(grad))),
+        start=start,
+        seconds=time.perf_counter() - t0,
         trace=trace,
         message=str(best.message),
     )
@@ -429,10 +483,10 @@ def fit(datasets: list[Dataset], init: Hyperparams | None = None) -> Hyperparams
         warnings.warn(
             f"fit of domains {[d.domain_id for d in datasets]} "
             f"(N={sum(d.n for d in datasets)}) stopped after "
-            f"{result.n_iter} iterations and {result.n_eval} evaluations without "
-            f"reaching the gradient tolerance ({result.message}); returning the best "
-            f"iterate (objective {result.objective:.6g}, max |gradient| "
-            f"{result.grad_max:.3g})",
+            f"{result.n_iter} iterations and {result.n_eval} evaluations in "
+            f"{result.seconds:.3g} s without reaching the gradient tolerance "
+            f"({result.message}); returning the best iterate of start {result.start} "
+            f"(objective {result.objective:.6g}, max |gradient| {result.grad_max:.3g})",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gpde import Dataset, Hyperparams
+from gpde import Dataset, Hyperparams, ShiftConfig, pca_apply, pca_fit, synth_shift
 
 
 @pytest.fixture
@@ -24,6 +24,15 @@ def random_hyper(rng):
         signal_std=float(rng.uniform(0.5, 1.5)),
         noise_std=float(rng.uniform(0.05, 0.5)),
     )
+
+
+def protocol_pooled_source() -> Dataset:
+    """The benchmark's protocol corpus, pooled and PCA-projected as the
+    GP-source baseline fits it: N=300."""
+    sources, _, _ = synth_shift(ShiftConfig(samples_per_domain=60))
+    X = np.concatenate([s.X for s in sources])
+    return Dataset(pca_apply(pca_fit(X, 0.99), X), np.concatenate([s.Y for s in sources]),
+                   "source_pool")
 
 
 def with_config_hash(payload: dict) -> dict:

@@ -6,12 +6,18 @@ import pytest
 
 import gpde.experts as experts
 import gpde.gp_core as gp_core
-from gpde import (Dataset, ShiftConfig, expert_weights, fit_detailed, pca_apply, pca_fit,
-                  predict, synth_shift, train_gpde)
+from gpde import (Dataset, Hyperparams, InvalidInputError, ShiftConfig, expert_weights,
+                  fit_detailed, kernel_matrix, pca_apply, pca_fit, predict, synth_shift,
+                  train_gpde)
 from gpde import _blas
 
+from conftest import protocol_pooled_source
+
 LIBS = _blas._find_libraries()
-pytestmark = pytest.mark.skipif(not LIBS, reason="no OpenBLAS thread control found")
+needs_openblas = pytest.mark.skipif(not LIBS, reason="no OpenBLAS thread control found")
+FENV = _blas._find_fenv()
+needs_flush = pytest.mark.skipif(not FENV, reason="subnormals cannot be flushed here")
+HALF_TINY = 1.1125369292536007e-308  # sys.float_info.min * 0.5, a subnormal
 
 
 def counts():
@@ -37,6 +43,7 @@ def serve_model():
     return train_gpde(sources, target), test.X
 
 
+@needs_openblas
 def test_restores_count_after_return_and_exception(two_threads):
     with _blas.blas_threads(1):
         assert counts() == [1] * len(LIBS)
@@ -47,6 +54,7 @@ def test_restores_count_after_return_and_exception(two_threads):
     assert counts() == [2] * len(LIBS)
 
 
+@needs_openblas
 def test_nested_entry_keeps_one_thread_until_outermost_exit(two_threads):
     with _blas.blas_threads(1):
         with _blas.blas_threads(1):
@@ -55,6 +63,7 @@ def test_nested_entry_keeps_one_thread_until_outermost_exit(two_threads):
     assert counts() == [2] * len(LIBS)
 
 
+@needs_openblas
 def test_one_thread_inside_predict_and_fit(two_threads, serve_model, monkeypatch):
     model, X = serve_model
     seen = []
@@ -81,6 +90,7 @@ def test_one_thread_inside_predict_and_fit(two_threads, serve_model, monkeypatch
     assert counts() == [2] * len(LIBS)
 
 
+@needs_openblas
 def test_concurrent_entries_are_counted(two_threads):
     inside = []
 
@@ -104,6 +114,7 @@ def test_concurrent_entries_are_counted(two_threads):
     assert _blas._depth == 0 and counts() == [2] * len(LIBS)
 
 
+@needs_openblas
 def test_no_library_is_a_silent_no_op(two_threads, monkeypatch, recwarn):
     monkeypatch.setattr(_blas, "_find_libraries", lambda: [])
     monkeypatch.setattr(_blas, "_libs", None)
@@ -113,6 +124,7 @@ def test_no_library_is_a_silent_no_op(two_threads, monkeypatch, recwarn):
     assert len(recwarn) == 0
 
 
+@needs_openblas
 def test_outputs_match_with_policy_off(two_threads, serve_model, monkeypatch):
     """Same labels, and numbers equal up to summation order: two OpenBLAS
     threads may add partial products in another order."""
@@ -135,13 +147,11 @@ def test_outputs_match_with_policy_off(two_threads, serve_model, monkeypatch):
     assert all(np.allclose(a, b, rtol=1e-9, atol=1e-12) for a, b in zip(on_values, off_values))
 
 
+@needs_openblas
 def test_fits_agree_across_thread_counts(two_threads, serve_model, monkeypatch):
     """dpotri's last bits depend on the thread count; after the Newton finish
     the fitted hyperparameters do not, beyond rounding."""
-    sources, _, _ = synth_shift(ShiftConfig(samples_per_domain=60))
-    X = np.concatenate([s.X for s in sources])
-    pooled = Dataset(pca_apply(pca_fit(X, 0.99), X), np.concatenate([s.Y for s in sources]),
-                     "source_pool")  # the protocol workload's pooled N=300 fit
+    pooled = protocol_pooled_source()
     # Fold 5's 100-row target of the acceptance benchmark: without the finish,
     # its L-BFGS-B stop moved by 4e-8 between one and two threads.
     seed = int(np.random.SeedSequence(0).generate_state(10)[5])
@@ -155,3 +165,99 @@ def test_fits_agree_across_thread_counts(two_threads, serve_model, monkeypatch):
     off = [fit_detailed([d]).hyper.to_log() for d in fits]
     for a, b in zip(on, off):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def flush_bits() -> int:
+    """The calling thread's MXCSR FTZ|DAZ bits."""
+    before = _blas._set_flush_bits(FENV, 0)
+    _blas._set_flush_bits(FENV, before)
+    return before
+
+
+@pytest.fixture
+def caller_bits():
+    """The test may set the thread's FTZ|DAZ bits; they are restored after it."""
+    before = flush_bits()
+    yield
+    _blas._set_flush_bits(FENV, before)
+
+
+@needs_flush
+@pytest.mark.parametrize("bits", [0, _blas.FLUSH_BITS])
+def test_fit_restores_caller_flush_bits(caller_bits, bits, serve_model, monkeypatch):
+    _blas._set_flush_bits(FENV, bits)
+    inside = []
+    lml_value = gp_core._lml_value
+
+    def probe(*args):
+        inside.append((flush_bits(), sys.float_info.min * 0.5))
+        return lml_value(*args)
+
+    monkeypatch.setattr(gp_core, "_lml_value", probe)
+    target = serve_model[0].target.data
+    fit_detailed([target])
+    assert inside and set(inside) == {(_blas.FLUSH_BITS, 0.0)}
+    assert flush_bits() == bits
+    overflowing = Hyperparams(length_scale=1.0, signal_std=1e200, noise_std=1.0)
+    with pytest.raises(InvalidInputError, match="non-finite at the initial"):
+        fit_detailed([target], init=overflowing)
+    assert flush_bits() == bits
+    # under DAZ a subnormal operand compares as zero, so test against 0.0
+    assert (sys.float_info.min * 0.5 != 0.0) == (bits == 0)
+
+
+@needs_flush
+def test_other_threads_keep_subnormals_during_a_fit(serve_model, monkeypatch):
+    """MXCSR is per thread: a thread that was running before the fit began
+    still computes subnormals while the fit has them flushed."""
+    go, done, seen = threading.Event(), threading.Event(), {}
+
+    def other():
+        go.wait(timeout=60)
+        seen["other"] = sys.float_info.min * 0.5
+        done.set()
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    lml_value = gp_core._lml_value
+
+    def probe(*args):
+        if not go.is_set():
+            seen["fit"] = sys.float_info.min * 0.5
+            go.set()
+            done.wait(timeout=60)
+        return lml_value(*args)
+
+    monkeypatch.setattr(gp_core, "_lml_value", probe)
+    try:
+        fit_detailed([serve_model[0].target.data])
+    finally:
+        go.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert seen == {"fit": 0.0, "other": HALF_TINY}
+
+
+@needs_flush
+def test_fit_without_flush_control_gives_same_bits(monkeypatch):
+    """The protocol corpus's pooled N=300 fit ends at a length-scale where
+    its kernel underflows; flushed or not, every result is the same."""
+    pooled = protocol_pooled_source()
+    flushed = fit_detailed([pooled])
+    K = kernel_matrix(pooled.X, h=flushed.hyper)
+    assert np.any((K > 0) & (K < np.finfo(float).tiny))
+    monkeypatch.setattr(_blas, "_fenv", ())  # no MXCSR control found: the fit runs unflushed
+    inside = []
+    lml_value = gp_core._lml_value
+
+    def probe(*args):
+        inside.append(sys.float_info.min * 0.5)
+        return lml_value(*args)
+
+    monkeypatch.setattr(gp_core, "_lml_value", probe)
+    plain = fit_detailed([pooled])
+    assert inside and set(inside) == {HALF_TINY}
+    for name in ("objective", "converged", "n_iter", "n_eval", "grad_max", "start", "trace",
+                 "message"):
+        assert getattr(flushed, name) == getattr(plain, name), name
+    assert np.array_equal(flushed.hyper.to_log(), plain.hyper.to_log())

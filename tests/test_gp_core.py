@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,9 +26,10 @@ from gpde import (
     train_expert,
 )
 import gpde.gp_core as gp_core
+from gpde import _blas
 from gpde.gp_core import _default_init, cholesky_with_jitter
 
-from conftest import random_dataset, random_hyper
+from conftest import protocol_pooled_source, random_dataset, random_hyper
 
 
 def lml_oracle(data, h):
@@ -127,6 +129,43 @@ class TestLogMarginalLikelihood:
         value, _ = log_marginal_likelihood(data, h)
         assert value == pytest.approx(expected, abs=1e-12)
 
+    def test_same_bits_where_the_kernel_underflows(self, monkeypatch):
+        # The protocol corpus's pooled N=300 data at length-scale 0.1, where
+        # K underflows (half its entries are 0, 1400 are subnormal): flushing
+        # subnormals to zero, and the fit's reused workspace, change no bit
+        # of the value or the gradient.
+        pooled = protocol_pooled_source()
+        h = Hyperparams(length_scale=0.1, signal_std=0.9, noise_std=0.4)
+        K = kernel_matrix(pooled.X, h=h)
+        assert np.count_nonzero((K > 0) & (K < np.finfo(float).tiny)) > pooled.n
+        with _blas.blas_threads(1):
+            plain = log_marginal_likelihood(pooled, h)
+            with _blas.flush_subnormals():
+                flushed = log_marginal_likelihood(pooled, h)
+        assert plain[0] == flushed[0] and np.array_equal(plain[1], flushed[1])
+
+        seen = {}
+        real_value, real_grad = gp_core._lml_value, gp_core._lml_grad
+
+        def value_probe(*args):
+            out = real_value(*args)
+            seen.setdefault("h", args[2])
+            seen.setdefault("value", out[0])
+            return out
+
+        def grad_probe(*args):
+            out = real_grad(*args)
+            seen.setdefault("grad", out)
+            return out
+
+        monkeypatch.setattr(gp_core, "_lml_value", value_probe)
+        monkeypatch.setattr(gp_core, "_lml_grad", grad_probe)
+        monkeypatch.setattr(gp_core, "MAX_ITER", 1)
+        fit_detailed([pooled], init=h)  # its first evaluation is at init
+        with _blas.blas_threads(1):
+            value, grad = log_marginal_likelihood(pooled, seen["h"])
+        assert value == seen["value"] and np.array_equal(grad, seen["grad"])
+
 
 class TestFit:
     def test_objective_never_below_init(self, rng):
@@ -192,9 +231,12 @@ class TestFit:
         assert res.grad_max == pytest.approx(np.max(np.abs(g)), rel=1e-6, abs=1e-12)
         monkeypatch.setattr(gp_core, "MAX_ITER", 1)
         record = fit_detailed([data])
+        assert record.start in (0, 1) and record.seconds > 0
         with pytest.warns(RuntimeWarning, match=f"{record.n_eval} evaluations") as warned:
             fit([data])
-        assert f"max |gradient| {record.grad_max:.3g}" in str(warned[0].message)
+        text = str(warned[0].message)
+        assert f"max |gradient| {record.grad_max:.3g}" in text
+        assert f"start {record.start}" in text and " s without" in text
 
     def test_optimizer_converged_fit_does_not_warn(self):
         # Fold 0's 10-row target fit on the benchmark's protocol corpus
@@ -225,13 +267,10 @@ class TestFit:
         # the default start alone L-BFGS-B slides onto the signal_std -> 0,
         # noise_std ~ 1 plateau (objective -851.2, signal_std 0.051); the
         # quarter-length-scale start reaches -842.8 with signal_std 0.46.
-        sources, _, _ = synth_shift(ShiftConfig(samples_per_domain=60))
-        X = np.concatenate([s.X for s in sources])
-        pooled = Dataset(pca_apply(pca_fit(X, 0.99), X),
-                         np.concatenate([s.Y for s in sources]), "source_pool")
-        res = fit_detailed([pooled])
+        res = fit_detailed([protocol_pooled_source()])
         assert res.objective > -845
         assert res.hyper.signal_std > 0.1
+        assert res.start == 1
 
     def test_no_matrix_factorized_twice(self, rng, monkeypatch):
         # The line search's factors at an accepted trial also give the
@@ -239,12 +278,12 @@ class TestFit:
         seen, repeats = set(), []
         real = gp_core.cholesky_with_jitter
 
-        def recording(A):
-            key = (A.shape, A.tobytes())
+        def recording(K, shift=0.0, out=None):
+            key = (K.shape, K.tobytes(), shift)  # the matrix K + shift I
             if key in seen:
-                repeats.append(A.shape)
+                repeats.append(K.shape)
             seen.add(key)
-            return real(A)
+            return real(K, shift, out)
 
         monkeypatch.setattr(gp_core, "cholesky_with_jitter", recording)
         datasets = [random_dataset(rng, n=12, d=2, c=1, domain_id="a"),
@@ -253,6 +292,33 @@ class TestFit:
         assert res.n_iter > 0
         assert len(seen) >= 2 * len(res.trace)
         assert repeats == []
+
+    def test_evaluation_allocates_no_matrix(self, rng, monkeypatch):
+        # Each evaluation inside a fit works in the fit's workspace, so
+        # none allocates an N x N array (8 N^2 bytes).
+        data = random_dataset(rng, n=200, d=3, c=2)
+        peaks = []
+        real_value, real_grad = gp_core._lml_value, gp_core._lml_grad
+
+        def value_probe(*args):
+            tracemalloc.reset_peak()
+            peaks.append(tracemalloc.get_traced_memory()[0])
+            return real_value(*args)
+
+        def grad_probe(*args):
+            out = real_grad(*args)
+            peaks[-1] = tracemalloc.get_traced_memory()[1] - peaks[-1]
+            return out
+
+        monkeypatch.setattr(gp_core, "_lml_value", value_probe)
+        monkeypatch.setattr(gp_core, "_lml_grad", grad_probe)
+        monkeypatch.setattr(gp_core, "MAX_ITER", 3)
+        tracemalloc.start()
+        try:
+            fit_detailed([data])
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) > 3 and max(peaks) < data.n**2 * 8
 
     def test_rejects_mixed_shapes_and_empty(self, rng):
         with pytest.raises(InvalidInputError):
