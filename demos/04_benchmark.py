@@ -22,8 +22,7 @@ result = run_benchmark(spec, shift_cfg=ShiftConfig())
 # Two source representations are requested here (pooled for gp_source/gpa/
 # gpde_ss, per-domain for gpde), so source-side fits = 2 x folds. They never
 # scale with the schedule length.
-print(f"config hash {result.config_hash}, "
-      f"{result.source_fit_count} source fits for {spec.folds} folds\n")
+print(f"config hash {result.config_hash}, {result.spec.folds} folds\n")
 
 # Mean accuracy per method and target-set size. Things to notice:
 #   - gp_source is flat: it never sees target data.

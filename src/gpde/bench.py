@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import ShiftConfig, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
-from .experts import (GpdeModel, fuse, hard_labels, predict, train_source_experts,
+from .experts import (MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts,
                       uniform_betas)
 from .gp_core import Dataset, Expert, fit, train_expert
 from .metrics import classification_rate, multilabel_report
@@ -77,7 +77,7 @@ class BenchmarkSpec:
             raise ConfigError("folds must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mode not in ("multilabel", "multiclass"):
+        if self.mode not in MODES:
             raise ConfigError(f"mode must be multilabel or multiclass, got {self.mode!r}")
         if self.metrics is not None:
             bad = [m for m in self.metrics if m not in METRICS]
@@ -105,7 +105,6 @@ class BenchRow(NamedTuple):
 class BenchmarkResult:
     spec: BenchmarkSpec
     rows: list[BenchRow]
-    source_fit_count: int
     config_hash: str
 
     def summary(self) -> list[tuple[str, int, str, float]]:
@@ -152,13 +151,12 @@ def _score(mean: np.ndarray, labels: np.ndarray, test: Dataset, spec: BenchmarkS
 
 
 class _SourceSide(NamedTuple):
-    """The PCA projection fit on the sources, the source experts the methods
-    need, and the number of hyperparameter fits that training them ran."""
+    """The PCA projection fit on the sources, and the source experts the
+    methods need."""
 
     project: Callable[[Dataset], Dataset]
     pooled: Expert | None
     experts: list[Expert]
-    fits: int
 
 
 def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
@@ -172,7 +170,7 @@ def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
         return Dataset(X=pca_apply(projector, d.X), Y=d.Y, domain_id=d.domain_id)
 
     sources = [project(s) for s in sources]
-    pooled, experts, fits = None, [], 0
+    pooled, experts = None, []
     if _POOLED_METHODS & set(spec.methods):
         data = Dataset(
             X=np.concatenate([s.X for s in sources]),
@@ -180,11 +178,9 @@ def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
             domain_id="source_pool",
         )
         pooled = train_expert(data, fit([data]))
-        fits += 1
     if "gpde" in spec.methods:
         experts = train_source_experts(sources)
-        fits += 1
-    return _SourceSide(project, pooled, experts, fits)
+    return _SourceSide(project, pooled, experts)
 
 
 def _score_methods(models: dict, test: Dataset, spec: BenchmarkSpec) -> dict:
@@ -203,21 +199,32 @@ def _score_methods(models: dict, test: Dataset, spec: BenchmarkSpec) -> dict:
     return scores
 
 
-def _fold_stream(seed: int, folds: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(folds)]
+def _folds(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | None,
+           shift_cfg: ShiftConfig | None):
+    """``(source side, target training pool, target test set)`` per fold, the
+    target sets projected by the side.  Synthetic folds regenerate the whole
+    corpus from one seed each; file folds share ``sources`` and partition
+    ``target_pool``, fold i testing on slice i and training on the rest."""
+    if shift_cfg is not None:
+        seeds = np.random.SeedSequence(spec.seed).generate_state(spec.folds)
+        splits = (synth_shift(replace(shift_cfg, seed=int(s), mode=spec.mode)) for s in seeds)
+    else:
+        perm = np.random.default_rng(np.random.SeedSequence([spec.seed, 1])).permutation(
+            target_pool.n)
+        parts = [perm[f::spec.folds] for f in range(spec.folds)]
 
+        def rows(idx: np.ndarray, name: str) -> Dataset:
+            return Dataset(target_pool.X[idx], target_pool.Y[idx], name)
 
-def _file_folds(spec: BenchmarkSpec, target_pool: Dataset):
-    """Partition the target data: fold i tests on slice i, trains on the rest."""
-    n = target_pool.n
-    perm = np.random.default_rng(np.random.SeedSequence([spec.seed, 1])).permutation(n)
-    for fold in range(spec.folds):
-        test_idx = perm[fold::spec.folds]
-        train_idx = np.concatenate([perm[f::spec.folds] for f in range(spec.folds) if f != fold])
-        yield (
-            Dataset(target_pool.X[train_idx], target_pool.Y[train_idx], "target_train"),
-            Dataset(target_pool.X[test_idx], target_pool.Y[test_idx], "target_test"),
-        )
+        splits = ((sources, rows(np.concatenate(parts[:f] + parts[f + 1:]), "target_train"),
+                   rows(parts[f], "target_test")) for f in range(spec.folds))
+    trained_on = side = None
+    for fold, (fold_sources, pool, test) in enumerate(splits):
+        if fold_sources is not trained_on:  # file folds share one list: trained once
+            trained_on, side = fold_sources, _train_sources(spec, fold_sources)
+        logger.info("fold %d: %d source domains, pool %d, test %d",
+                    fold, len(fold_sources), pool.n, test.n)
+        yield side, side.project(pool), side.project(test)
 
 
 def run_benchmark(
@@ -259,25 +266,8 @@ def run_benchmark(
         "target": target_pool.domain_id, "n": target_pool.n}
     hashed = config_hash({"spec": asdict(spec), "data": data})
     rows: list[BenchRow] = []
-    fold_seeds = _fold_stream(spec.seed, spec.folds) if synthetic else None
-    file_folds = None if synthetic else list(_file_folds(spec, target_pool))
-    sources = list(source_datasets or [])
-    # file folds share their sources, so the source side is trained once
-    side = None if synthetic else _train_sources(spec, sources)
-    source_fits = 0 if synthetic else side.fits
-
-    for fold in range(spec.folds):
-        if synthetic:
-            cfg = replace(shift_cfg, seed=fold_seeds[fold], mode=spec.mode)
-            sources, pool, test = synth_shift(cfg)
-            side = _train_sources(spec, sources)
-            source_fits += side.fits
-        else:
-            pool, test = file_folds[fold]
-        pool, test = side.project(pool), side.project(test)
-        logger.info("fold %d: %d source domains, pool %d, test %d",
-                    fold, len(sources), pool.n, test.n)
-
+    folds = _folds(spec, list(source_datasets or []), target_pool, shift_cfg)
+    for fold, (side, pool, test) in enumerate(folds):
         scores = {}
         if "gp_source" in spec.methods:  # ignores the target set: scored once per fold
             scores = _score_methods({"gp_source": ([side.pooled], None, [1.0])}, test, spec)
@@ -297,8 +287,7 @@ def run_benchmark(
                     BenchRow(method, n_t, fold, metric, value)
                     for metric, value in scores[method].items()
                 )
-    return BenchmarkResult(spec=spec, rows=rows, source_fit_count=source_fits,
-                           config_hash=hashed)
+    return BenchmarkResult(spec=spec, rows=rows, config_hash=hashed)
 
 
 def write_result_table(fh, result: BenchmarkResult) -> None:

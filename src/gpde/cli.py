@@ -19,7 +19,7 @@ import contextlib
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -151,19 +151,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    overrides = {
-        "n_source_domains": args.domains,
-        "samples_per_domain": args.samples,
-        "n_target_train": args.target_train,
-        "n_target_test": args.target_test,
-        "dims": args.dims,
-        "n_outputs": args.outputs,
-        "shift_magnitude": args.shift,
-        "label_complexity": args.complexity,
-        "mode": args.mode,
-        "seed": args.seed,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(ShiftConfig)
+                 if getattr(args, f.name) is not None}
     if args.config:
         cfg = load_shift_config(args.config, **overrides)
     else:
@@ -248,16 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic covariate-shift corpus")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="shift-config file to start from")
-    p.add_argument("--domains", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--target-train", type=int, default=None)
-    p.add_argument("--target-test", type=int, default=None)
-    p.add_argument("--dims", type=int, default=None)
-    p.add_argument("--outputs", type=int, default=None)
-    p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--complexity", type=float, default=None)
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    # each override's dest is the ShiftConfig field it sets; unset ones are None
+    p.add_argument("--domains", dest="n_source_domains", metavar="DOMAINS", type=int)
+    p.add_argument("--samples", dest="samples_per_domain", metavar="SAMPLES", type=int)
+    p.add_argument("--target-train", dest="n_target_train", metavar="TARGET_TRAIN", type=int)
+    p.add_argument("--target-test", dest="n_target_test", metavar="TARGET_TEST", type=int)
+    p.add_argument("--dims", type=int)
+    p.add_argument("--outputs", dest="n_outputs", metavar="OUTPUTS", type=int)
+    p.add_argument("--shift", dest="shift_magnitude", metavar="SHIFT", type=float)
+    p.add_argument("--complexity", dest="label_complexity", metavar="COMPLEXITY", type=float)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
     return parser
 

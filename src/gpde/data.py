@@ -21,12 +21,13 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 from scipy.linalg import expm
 
 from .exceptions import ConfigError, DataLoadError, InvalidInputError
-from .experts import hard_labels
+from .experts import MODES, hard_labels
 from .gp_core import Dataset
 
 __all__ = [
@@ -235,7 +236,7 @@ class ShiftConfig:
             raise ConfigError("shift_magnitude must be finite and >= 0")
         if not 0 < self.label_complexity < np.inf:
             raise ConfigError("label_complexity must be finite and > 0")
-        if self.mode not in ("multilabel", "multiclass"):
+        if self.mode not in MODES:
             raise ConfigError(f"mode must be multilabel or multiclass, got {self.mode!r}")
         if self.mode == "multiclass" and self.n_outputs < 2:
             raise ConfigError("multiclass mode needs n_outputs >= 2")
@@ -340,7 +341,7 @@ def save_shift_config(path, cfg: ShiftConfig) -> None:
 
 def load_shift_config(path, **overrides) -> ShiftConfig:
     """Parse a flat ``key = value`` file into a :class:`ShiftConfig`."""
-    known = {f.name: f.type for f in fields(ShiftConfig)}
+    known = get_type_hints(ShiftConfig)  # field name: declared type
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -358,12 +359,7 @@ def load_shift_config(path, **overrides) -> ShiftConfig:
         if key not in known:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            if key in ("shift_magnitude", "label_complexity"):
-                values[key] = float(raw)
-            elif key == "mode":
-                values[key] = raw
-            else:
-                values[key] = int(raw)
+            values[key] = known[key](raw)
         except ValueError:
             raise ConfigError(f"{path}: line {lineno}: bad value {raw!r} for {key}") from None
     cfg = ShiftConfig(**values)

@@ -54,7 +54,7 @@ from scipy.optimize import minimize
 
 from ._blas import blas_threads, flush_subnormals
 from .exceptions import InvalidInputError, NumericalError
-from .kernel import Hyperparams, kernel_matrix, squared_distances
+from .kernel import Hyperparams, _rbf, kernel_matrix, squared_distances
 
 __all__ = [
     "Dataset",
@@ -245,33 +245,20 @@ def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray, out: np.ndarray | No
     return L, alpha, jitter
 
 
-def _lml_value(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work=None):
-    """Log-marginal likelihood from a precomputed squared-distance matrix, plus
-    the factors ``(K, L, alpha)`` that :func:`_lml_grad` takes at the same point.
+def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work=None) -> tuple[float, np.ndarray]:
+    """Log-marginal likelihood from a precomputed squared-distance matrix, and
+    its log-space gradient, from one factorization.
 
     ``work`` is a pair of C-ordered arrays of ``sq``'s shape that receive K
     and L, overwritten; without it both are new arrays.
     """
     n, c = Y.shape
     K_out, L_out = (None, None) if work is None else work
-    # signal_std^2 exp(-0.5 sq / length_scale^2) in one buffer
-    K = np.multiply(sq, -0.5, out=K_out)
-    K /= h.length_scale**2
-    np.exp(K, out=K)
-    K *= h.signal_std**2
+    K = _rbf(sq, h, out=K_out)
     L, alpha, _ = _factor(K, h.noise_std**2, Y, L_out)
     quad = float(np.sum(Y * alpha))
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
     value = -0.5 * quad - 0.5 * c * logdet - 0.5 * n * c * LOG_2PI
-    return value, (K, L, alpha)
-
-
-def _lml_grad(sq: np.ndarray, h: Hyperparams, K: np.ndarray, L: np.ndarray,
-              alpha: np.ndarray) -> np.ndarray:
-    """Log-space gradient of the log-marginal likelihood from the factors
-    :func:`_lml_value` returned at ``h``.  It consumes them: ``L`` is
-    overwritten with the inverse and ``K`` with ``K o sq``."""
-    c = alpha.shape[1]
     # d/dtheta = 1/2 tr[(alpha alpha^T - C Kn^-1) dK/dtheta], theta in log-space,
     # with dK/dlog(ell) = K o sq / ell^2, dK/dlog(sf) = 2K, dK/dlog(sv) = 2 sv^2 I.
     # dpotri writes Kn^-1 over L's lower triangle, and dpotrf left zeros above
@@ -291,11 +278,13 @@ def _lml_grad(sq: np.ndarray, h: Hyperparams, K: np.ndarray, L: np.ndarray,
     K *= sq
     g_ell = 0.5 * trace_term(K) / h.length_scale**2
     g_sv = h.noise_std**2 * float(np.vdot(alpha, alpha) - c * np.sum(P_diag))
-    return np.array([g_ell, g_sf, g_sv])
+    return value, np.array([g_ell, g_sf, g_sv])
 
 
 def log_marginal_likelihood(data: Dataset, h: Hyperparams) -> tuple[float, np.ndarray]:
-    """Log-marginal likelihood of ``data`` under ``h`` and its gradient.
+    """Log-marginal likelihood of ``data`` under ``h`` and its gradient,
+    computed as a fit's objective computes them, on one BLAS thread with
+    subnormals flushed, so the two agree bit for bit.
 
     Returns
     -------
@@ -303,9 +292,8 @@ def log_marginal_likelihood(data: Dataset, h: Hyperparams) -> tuple[float, np.nd
     grad : ndarray, shape (3,)
         Derivatives w.r.t. (log length_scale, log signal_std, log noise_std).
     """
-    sq = squared_distances(data.X)
-    value, factors = _lml_value(sq, data.Y, h)
-    return value, _lml_grad(sq, h, *factors)
+    with blas_threads(1), flush_subnormals():
+        return _lml(squared_distances(data.X), data.Y, h)
 
 
 def _default_init(datasets: list[Dataset]) -> Hyperparams:
@@ -380,15 +368,14 @@ def _fit(datasets: list[Dataset], init: Hyperparams | None) -> FitResult:
              for d in datasets]
 
     def objective(z: np.ndarray):
-        """Summed objective and gradient at ``z``; each matrix is factorized
-        once, for the value and the gradient together."""
+        """Summed objective and gradient at ``z``."""
         try:
             h = Hyperparams.from_log(z)
             total, grad = 0.0, np.zeros(3)
             for sq, Y, work in parts:
-                value, factors = _lml_value(sq, Y, h, work)
+                value, g = _lml(sq, Y, h, work)
                 total += value
-                grad += _lml_grad(sq, h, *factors)
+                grad += g
         except (NumericalError, InvalidInputError, OverflowError):
             # overflow/underflow of exp(z) or signal_std**2, or a failed
             # factorization: a point the line search must back away from

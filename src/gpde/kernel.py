@@ -108,9 +108,14 @@ def kernel_matrix(X, X_prime=None, *, h: Hyperparams) -> np.ndarray:
     With ``X_prime=None`` (or the same array object) the Gram matrix K(X, X)
     is returned, exactly symmetric with diagonal ``signal_std**2``.
     """
-    K = squared_distances(X, X_prime)
-    # signal_std^2 exp(-0.5 sq / length_scale^2), evaluated in place
-    np.multiply(K, -0.5, out=K)
+    sq = squared_distances(X, X_prime)
+    return _rbf(sq, h, out=sq)
+
+
+def _rbf(sq: np.ndarray, h: Hyperparams, out: np.ndarray | None = None) -> np.ndarray:
+    """``signal_std^2 exp(-0.5 sq / length_scale^2)`` of squared distances
+    ``sq``, formed in ``out`` (which may be ``sq`` itself) or a new array."""
+    K = np.multiply(sq, -0.5, out=out)
     np.divide(K, h.length_scale**2, out=K)
     np.exp(K, out=K)
     np.multiply(K, h.signal_std**2, out=K)

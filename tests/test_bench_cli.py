@@ -92,30 +92,57 @@ class TestScheduleValidation:
             run_benchmark(spec)
 
 
+def count_source_fits(monkeypatch) -> list:
+    """The domain ids of each hyperparameter fit on source data from now on,
+    one list per fit, counted at ``fit_detailed``."""
+    calls = []
+    real = gp_core.fit_detailed
+
+    def counting(datasets, *args, **kwargs):
+        if datasets[0].domain_id != "target_train":
+            calls.append([d.domain_id for d in datasets])
+        return real(datasets, *args, **kwargs)
+
+    monkeypatch.setattr(gp_core, "fit_detailed", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
-def gpde_runs():
-    """The same gpde-only benchmark at two schedule lengths."""
+def gpde_counted_runs():
+    """The same gpde-only benchmark at two schedule lengths, each with the
+    source fits it ran."""
     base = dict(methods=("gpde",), folds=2, metrics=("acc",), seed=3, energy=None)
-    short = run_benchmark(BenchmarkSpec(schedule=(5, 10), **base), shift_cfg=SMALL_CFG)
-    longer = run_benchmark(BenchmarkSpec(schedule=(5, 10, 15), **base), shift_cfg=SMALL_CFG)
-    return short, longer
+    runs = []
+    for schedule in ((5, 10), (5, 10, 15)):
+        with pytest.MonkeyPatch.context() as mp:
+            fits = count_source_fits(mp)
+            runs.append((run_benchmark(BenchmarkSpec(schedule=schedule, **base),
+                                       shift_cfg=SMALL_CFG), len(fits)))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def gpde_runs(gpde_counted_runs):
+    """The same gpde-only benchmark at two schedule lengths."""
+    return tuple(result for result, _ in gpde_counted_runs)
 
 
 class TestFitBudget:
-    def test_source_fits_equal_folds(self, gpde_runs):
-        short, longer = gpde_runs
-        assert short.source_fit_count == 2
-        assert longer.source_fit_count == 2
+    def test_source_fits_equal_folds(self, gpde_counted_runs):
+        (_, short), (_, longer) = gpde_counted_runs
+        assert short == 2
+        assert longer == 2
 
-    def test_source_fits_independent_of_schedule(self, gpde_runs):
-        short, longer = gpde_runs
-        assert short.source_fit_count == longer.source_fit_count
+    def test_source_fits_independent_of_schedule(self, gpde_counted_runs):
+        (_, short), (_, longer) = gpde_counted_runs
+        assert short == longer
 
-    def test_gp_source_constant_across_schedule(self):
+    def test_gp_source_constant_across_schedule(self, monkeypatch):
         spec = BenchmarkSpec(methods=("gp_source",), schedule=(5, 10), folds=1,
                              metrics=("acc",), seed=2)
+        fits = count_source_fits(monkeypatch)
         result = run_benchmark(spec, shift_cfg=SMALL_CFG)
-        assert result.source_fit_count == 1
+        assert len(fits) == 1
         assert result.mean("gp_source", 5, "acc") == result.mean("gp_source", 10, "acc")
 
 
@@ -173,12 +200,13 @@ class TestResultTable:
 
 
 class TestFileMode:
-    def test_file_benchmark_runs(self, rng):
+    def test_file_benchmark_runs(self, rng, monkeypatch):
         sources, pool, _ = synth_shift(SMALL_CFG)
         spec = BenchmarkSpec(methods=("gp_target", "gpa"), schedule=(5, 10),
                              folds=2, metrics=("acc",), seed=1)
+        fits = count_source_fits(monkeypatch)
         result = run_benchmark(spec, source_datasets=sources, target_pool=pool)
-        assert result.source_fit_count == 1
+        assert len(fits) == 1
         assert len(result.rows) == 2 * 2 * 2
         # folds partition the pool, so fold values differ in general
         assert result.rows == run_benchmark(spec, source_datasets=sources,
@@ -188,33 +216,20 @@ class TestFileMode:
 class TestSourceFitsRun:
     """Hyperparameter fits actually run on source data, counted at ``fit_detailed``."""
 
-    def _count_source_fits(self, monkeypatch):
-        calls = []
-        real = gp_core.fit_detailed
-
-        def counting(datasets, *args, **kwargs):
-            if datasets[0].domain_id != "target_train":
-                calls.append([d.domain_id for d in datasets])
-            return real(datasets, *args, **kwargs)
-
-        monkeypatch.setattr(gp_core, "fit_detailed", counting)
-        return calls
-
     def test_file_folds_share_one_source_training(self, monkeypatch):
         sources, pool, _ = synth_shift(SMALL_CFG)
-        calls = self._count_source_fits(monkeypatch)
+        calls = count_source_fits(monkeypatch)
         spec = BenchmarkSpec(schedule=(5, 10), folds=3, metrics=("acc",), seed=2)
         result = run_benchmark(spec, source_datasets=sources, target_pool=pool)
         assert len(calls) == 2  # pooled + shared
-        assert result.source_fit_count == 2
+        assert calls == [["source_pool"], [s.domain_id for s in sources]]
         assert {r.fold for r in result.rows} == {0, 1, 2}
 
     def test_synthetic_folds_train_their_own_sources(self, monkeypatch):
-        calls = self._count_source_fits(monkeypatch)
+        calls = count_source_fits(monkeypatch)
         spec = BenchmarkSpec(schedule=(5,), folds=2, metrics=("acc",), seed=2)
-        result = run_benchmark(spec, shift_cfg=SMALL_CFG)
+        run_benchmark(spec, shift_cfg=SMALL_CFG)
         assert len(calls) == 2 * 2
-        assert result.source_fit_count == 2 * 2
 
 
 def run_cli(*argv):

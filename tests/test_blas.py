@@ -78,13 +78,13 @@ def test_one_thread_inside_predict_and_fit(two_threads, serve_model, monkeypatch
     assert seen == [[1] * len(LIBS)]
 
     seen_fit = []
-    lml_value = gp_core._lml_value
+    lml = gp_core._lml
 
     def probe_lml(*args, **kwargs):
         seen_fit.append(counts())
-        return lml_value(*args, **kwargs)
+        return lml(*args, **kwargs)
 
-    monkeypatch.setattr(gp_core, "_lml_value", probe_lml)
+    monkeypatch.setattr(gp_core, "_lml", probe_lml)
     fit_detailed([model.target.data])
     assert seen_fit and all(c == [1] * len(LIBS) for c in seen_fit)
     assert counts() == [2] * len(LIBS)
@@ -167,6 +167,29 @@ def test_fits_agree_across_thread_counts(two_threads, serve_model, monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
+@needs_openblas
+def test_log_marginal_likelihood_is_the_fit_objective(two_threads, monkeypatch):
+    """At the pooled N=300 optimum (length-scale 0.21) the public evaluation
+    gives the in-fit objective's value and gradient bit for bit, though the
+    caller runs two BLAS threads."""
+    pooled = protocol_pooled_source()
+    seen = []
+    lml = gp_core._lml
+
+    def probe(*args):
+        out = lml(*args)
+        seen.append((args[2], out))
+        return out
+
+    monkeypatch.setattr(gp_core, "_lml", probe)
+    monkeypatch.setattr(gp_core, "MAX_ITER", 1)
+    fit_detailed([pooled], init=Hyperparams(length_scale=0.21, signal_std=0.92, noise_std=0.39))
+    h, (value, grad) = seen[0]  # the first evaluation is at init
+    assert counts() == [2] * len(LIBS)
+    public_value, public_grad = gp_core.log_marginal_likelihood(pooled, h)
+    assert public_value == value and np.array_equal(public_grad, grad)
+
+
 def flush_bits() -> int:
     """The calling thread's MXCSR FTZ|DAZ bits."""
     before = _blas._set_flush_bits(FENV, 0)
@@ -187,13 +210,13 @@ def caller_bits():
 def test_fit_restores_caller_flush_bits(caller_bits, bits, serve_model, monkeypatch):
     _blas._set_flush_bits(FENV, bits)
     inside = []
-    lml_value = gp_core._lml_value
+    lml = gp_core._lml
 
     def probe(*args):
         inside.append((flush_bits(), sys.float_info.min * 0.5))
-        return lml_value(*args)
+        return lml(*args)
 
-    monkeypatch.setattr(gp_core, "_lml_value", probe)
+    monkeypatch.setattr(gp_core, "_lml", probe)
     target = serve_model[0].target.data
     fit_detailed([target])
     assert inside and set(inside) == {(_blas.FLUSH_BITS, 0.0)}
@@ -219,16 +242,16 @@ def test_other_threads_keep_subnormals_during_a_fit(serve_model, monkeypatch):
 
     worker = threading.Thread(target=other)
     worker.start()
-    lml_value = gp_core._lml_value
+    lml = gp_core._lml
 
     def probe(*args):
         if not go.is_set():
             seen["fit"] = sys.float_info.min * 0.5
             go.set()
             done.wait(timeout=60)
-        return lml_value(*args)
+        return lml(*args)
 
-    monkeypatch.setattr(gp_core, "_lml_value", probe)
+    monkeypatch.setattr(gp_core, "_lml", probe)
     try:
         fit_detailed([serve_model[0].target.data])
     finally:
@@ -248,13 +271,13 @@ def test_fit_without_flush_control_gives_same_bits(monkeypatch):
     assert np.any((K > 0) & (K < np.finfo(float).tiny))
     monkeypatch.setattr(_blas, "_fenv", ())  # no MXCSR control found: the fit runs unflushed
     inside = []
-    lml_value = gp_core._lml_value
+    lml = gp_core._lml
 
     def probe(*args):
         inside.append(sys.float_info.min * 0.5)
-        return lml_value(*args)
+        return lml(*args)
 
-    monkeypatch.setattr(gp_core, "_lml_value", probe)
+    monkeypatch.setattr(gp_core, "_lml", probe)
     plain = fit_detailed([pooled])
     assert inside and set(inside) == {HALF_TINY}
     for name in ("objective", "converged", "n_iter", "n_eval", "grad_max", "start", "trace",

@@ -106,19 +106,22 @@ class TestLogMarginalLikelihood:
 
     def test_gradient_matches_dense_inverse_formula(self, rng):
         # The gradient sums over dpotri's lower triangle of Kn^-1; the
-        # reference forms the whole inverse with cho_solve(L, I) and takes
-        # 1/2 tr[(alpha alpha^T - C Kn^-1) dK/dtheta] over full matrices.
+        # reference factorizes Kn itself, forms the whole inverse with
+        # cho_solve(L, I) and takes 1/2 tr[(alpha alpha^T - C Kn^-1) dK/dtheta]
+        # over full matrices.
         shapes = [(1, 1), (1, 3)] + [(int(rng.integers(2, 60)), int(rng.integers(1, 4)))
                                      for _ in range(10)]
         for n, c in shapes:
             data = random_dataset(rng, n=n, d=int(rng.integers(1, 4)), c=c)
             h = random_hyper(rng)
             sq = squared_distances(data.X)
-            _, (K, L, alpha) = gp_core._lml_value(sq, data.Y, h)
+            K = kernel_matrix(data.X, h=h)
+            L = np.linalg.cholesky(K + h.noise_std**2 * np.eye(n))
+            alpha = cho_solve((L, True), data.Y)
             T = alpha @ alpha.T - c * cho_solve((L, True), np.eye(n))
             dense = [0.5 * np.sum(T * K * sq) / h.length_scale**2, np.sum(T * K),
                      h.noise_std**2 * np.trace(T)]
-            assert np.allclose(gp_core._lml_grad(sq, h, K, L, alpha), dense, rtol=1e-10, atol=0.0)
+            assert np.allclose(gp_core._lml(sq, data.Y, h)[1], dense, rtol=1e-10, atol=0.0)
 
     def test_single_point_closed_form(self):
         # N=1, C=1: log N(y; 0, sf^2 + sv^2)
@@ -138,33 +141,24 @@ class TestLogMarginalLikelihood:
         h = Hyperparams(length_scale=0.1, signal_std=0.9, noise_std=0.4)
         K = kernel_matrix(pooled.X, h=h)
         assert np.count_nonzero((K > 0) & (K < np.finfo(float).tiny)) > pooled.n
-        with _blas.blas_threads(1):
-            plain = log_marginal_likelihood(pooled, h)
-            with _blas.flush_subnormals():
-                flushed = log_marginal_likelihood(pooled, h)
-        assert plain[0] == flushed[0] and np.array_equal(plain[1], flushed[1])
 
-        seen = {}
-        real_value, real_grad = gp_core._lml_value, gp_core._lml_grad
+        seen = []
+        real = gp_core._lml
 
-        def value_probe(*args):
-            out = real_value(*args)
-            seen.setdefault("h", args[2])
-            seen.setdefault("value", out[0])
+        def probe(*args):
+            out = real(*args)
+            seen.append((args[2], out))
             return out
 
-        def grad_probe(*args):
-            out = real_grad(*args)
-            seen.setdefault("grad", out)
-            return out
-
-        monkeypatch.setattr(gp_core, "_lml_value", value_probe)
-        monkeypatch.setattr(gp_core, "_lml_grad", grad_probe)
+        monkeypatch.setattr(gp_core, "_lml", probe)
         monkeypatch.setattr(gp_core, "MAX_ITER", 1)
         fit_detailed([pooled], init=h)  # its first evaluation is at init
-        with _blas.blas_threads(1):
-            value, grad = log_marginal_likelihood(pooled, seen["h"])
-        assert value == seen["value"] and np.array_equal(grad, seen["grad"])
+        h, (in_fit_value, in_fit_grad) = seen[0]  # h after its round trip through log-space
+        flushed = log_marginal_likelihood(pooled, h)
+        assert flushed[0] == in_fit_value and np.array_equal(flushed[1], in_fit_grad)
+        monkeypatch.setattr(_blas, "_fenv", ())  # no MXCSR control found: runs unflushed
+        plain = log_marginal_likelihood(pooled, h)
+        assert plain[0] == flushed[0] and np.array_equal(plain[1], flushed[1])
 
 
 class TestFit:
@@ -223,8 +217,8 @@ class TestFit:
     def test_fit_record_counts_evaluations_and_final_gradient(self, rng, monkeypatch):
         data = random_dataset(rng, n=15, d=2, c=2)
         calls = []
-        real = gp_core._lml_value
-        monkeypatch.setattr(gp_core, "_lml_value", lambda *args: calls.append(1) or real(*args))
+        real = gp_core._lml
+        monkeypatch.setattr(gp_core, "_lml", lambda *args: calls.append(1) or real(*args))
         res = fit_detailed([data])
         assert res.n_eval == len(calls) > res.n_iter
         _, g = log_marginal_likelihood(data, res.hyper)
@@ -273,8 +267,8 @@ class TestFit:
         assert res.start == 1
 
     def test_no_matrix_factorized_twice(self, rng, monkeypatch):
-        # The line search's factors at an accepted trial also give the
-        # gradient there, so each point's matrices are factorized once.
+        # Each evaluation takes the value and the gradient from one
+        # factorization, and no point is evaluated twice.
         seen, repeats = set(), []
         real = gp_core.cholesky_with_jitter
 
@@ -298,20 +292,16 @@ class TestFit:
         # none allocates an N x N array (8 N^2 bytes).
         data = random_dataset(rng, n=200, d=3, c=2)
         peaks = []
-        real_value, real_grad = gp_core._lml_value, gp_core._lml_grad
+        real = gp_core._lml
 
-        def value_probe(*args):
+        def probe(*args):
             tracemalloc.reset_peak()
-            peaks.append(tracemalloc.get_traced_memory()[0])
-            return real_value(*args)
-
-        def grad_probe(*args):
-            out = real_grad(*args)
-            peaks[-1] = tracemalloc.get_traced_memory()[1] - peaks[-1]
+            before = tracemalloc.get_traced_memory()[0]
+            out = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
             return out
 
-        monkeypatch.setattr(gp_core, "_lml_value", value_probe)
-        monkeypatch.setattr(gp_core, "_lml_grad", grad_probe)
+        monkeypatch.setattr(gp_core, "_lml", probe)
         monkeypatch.setattr(gp_core, "MAX_ITER", 3)
         tracemalloc.start()
         try:

@@ -16,7 +16,7 @@ REMOVED = {
     "gpde.kernel": ["kernel_eval"],
     "gpde.experts": ["retarget"],
     "gpde.model_io": ["load_expert_pool"],
-    "gpde.gp_core": ["default_init"],
+    "gpde.gp_core": ["default_init", "_lml_value", "_lml_grad"],
     "gpde.data": ["latent_label_fn"],
 }
 
@@ -42,5 +42,6 @@ def test_removed_members_are_gone():
     assert not hasattr(gpde.GpdeModel, "n_outputs")
     assert not hasattr(gpde.MetricReport, "as_dict")
     assert "classification_rate" not in {f.name for f in dataclasses.fields(gpde.MetricReport)}
+    assert "source_fit_count" not in {f.name for f in dataclasses.fields(gpde.BenchmarkResult)}
     params = inspect.signature(gpde.multilabel_report).parameters
     assert "classes_true" not in params and "classes_pred" not in params
