@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import ShiftConfig, config_hash, pca_apply, pca_fit, synth_shift
+from .data import ShiftConfig, _write_csv, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
 from .experts import (MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts,
                       uniform_betas)
@@ -293,8 +293,5 @@ def run_benchmark(
 def write_result_table(fh, result: BenchmarkResult) -> None:
     """Write the per-fold result rows as delimited text with embedded
     seed/config-hash comments."""
-    fh.write(f"# seed={result.spec.seed}\n")
-    fh.write(f"# config_hash={result.config_hash}\n")
-    fh.write("method,n_t,fold,metric,value\n")
-    for r in result.rows:
-        fh.write(f"{r.method},{r.n_t},{r.fold},{r.metric},{r.value:.6f}\n")
+    _write_csv(fh, list(BenchRow._fields), ["%s"] * 4 + ["%.6f"], result.rows,
+               [f"seed={result.spec.seed}", f"config_hash={result.config_hash}"])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bench import METHODS, METRICS, BenchmarkSpec, run_benchmark, write_result_table
-from .data import (ShiftConfig, config_hash, load_dataset, load_features,
+from .data import (ShiftConfig, _write_csv, config_hash, load_dataset, load_features,
                    load_shift_config, save_dataset, save_shift_config, synth_shift)
 from .exceptions import ConfigError, DataLoadError, GpdeError
 from .experts import MODES, GpdeModel, expert_weights, predict, uniform_betas
@@ -39,13 +39,8 @@ def _domain_id(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-@contextlib.contextmanager
 def _out_stream(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 def _split_list(tokens: list[str]) -> list[str]:
@@ -93,15 +88,12 @@ def _cmd_predict(args) -> int:
     X = load_features(args.data)
     fused = predict(model, X)
     C = fused.mean.shape[1]
+    # one variance per point, shared by all outputs
+    rows = np.column_stack([fused.mean, np.repeat(fused.variance[:, None], C, axis=1),
+                            fused.labels]).tolist()
     with _out_stream(args.out) as fh:
-        header = [f"mean{j}" for j in range(C)] + [f"var{j}" for j in range(C)] \
-            + [f"label{j}" for j in range(C)]
-        fh.write(",".join(header) + "\n")
-        for m, v, lab in zip(fused.mean, fused.variance, fused.labels):
-            # one variance per point, shared by all outputs
-            fields = [f"{x:.8g}" for x in m] + [f"{v:.8g}"] * C \
-                + [f"{int(x):d}" for x in lab]
-            fh.write(",".join(fields) + "\n")
+        _write_csv(fh, [f"{col}{j}" for col in ("mean", "var", "label") for j in range(C)],
+                   ["%.8g"] * (2 * C) + ["%d"] * C, rows)
     return 0
 
 
@@ -109,13 +101,9 @@ def _cmd_weights(args) -> int:
     model = load_bundle(args.model)
     X = load_features(args.data)
     W = np.atleast_2d(expert_weights(model, X))
-    names = [e.data.domain_id for e in model.sources]
-    if model.target is not None:
-        names.append(model.target.data.domain_id)
+    names = [e.data.domain_id for e in [*model.sources, model.target] if e is not None]
     with _out_stream(args.out) as fh:
-        fh.write(",".join(names) + "\n")
-        for row in W:
-            fh.write(",".join(f"{x:.8g}" for x in row) + "\n")
+        _write_csv(fh, names, ["%.8g"] * len(names), W.tolist())
     return 0
 
 

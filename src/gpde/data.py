@@ -3,7 +3,8 @@
 CSV schema: one header row ``f0,...,f{D-1},y0,...,y{C-1}``, then one row per
 sample.  Labels must be -1/+1 (or 0/1, which are mapped to -1/+1 with a
 logged notice).  Lines starting with ``#`` are metadata comments and are
-skipped.
+skipped.  A file's fields are parsed by ``float()`` in one pass and checked as
+arrays.  Every CSV gpde writes goes through one writer, with ``\\n`` line ends.
 
 The synthetic generator builds one smooth latent label function (a random
 Fourier-feature approximation of an RBF-kernel GP draw, thresholded at zero)
@@ -16,11 +17,13 @@ Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from time import perf_counter
 from typing import get_type_hints
 
 import numpy as np
@@ -54,35 +57,69 @@ _WARP_RADIUS = 2.5  # radius of the stationary core (covers the target region)
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# CSV reading and writing
 # ---------------------------------------------------------------------------
 
-def _read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Stripped header and numbered data rows of a schema CSV, ``#`` comment
-    lines skipped."""
+def _read_table(path, labeled: bool) -> tuple[np.ndarray, int]:
+    """The values of a schema CSV, ``#`` comment lines skipped, as an N x
+    width float array, and its feature count D.
+
+    A ``labeled`` read (a dataset) takes the whole f0..f{D-1},y0..y{C-1}
+    table, any other only the leading f0..f{D-1} columns.  Every field is
+    parsed in one flat ``float()`` pass and checked as an array; only if a
+    check fails does :func:`_walk_rows` raise the first bad row's error.
+    """
+    t0 = perf_counter()
     try:
         with open(path, newline="") as fh:
-            rows = [
-                (lineno, row)
-                for lineno, row in enumerate(csv.reader(fh), start=1)
-                if row and not row[0].lstrip().startswith("#")
-            ]
+            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                    if row and not row[0].lstrip().startswith("#")]
     except (ValueError, csv.Error) as exc:  # ValueError: bad UTF-8, NUL in path
         raise DataLoadError(f"{path}: not a readable CSV file ({exc})") from None
     if not rows:
         raise DataLoadError(f"{path}: empty file")
-    return [c.strip() for c in rows[0][1]], rows[1:]
+    header = [c.strip() for c in rows.pop(0)[1]]
+    n_feat = sum(1 for c in header if c.startswith("f"))
+    n_lab = sum(1 for c in header if c.startswith("y")) if labeled else 0
+    features = [f"f{i}" for i in range(n_feat)]
+    if labeled:
+        if n_feat < 1 or n_lab < 1 or header != features + [f"y{i}" for i in range(n_lab)]:
+            raise DataLoadError(f"{path}: header must be f0..f{{D-1}},y0..y{{C-1}}, got {header}")
+    elif n_feat < 1 or header[:n_feat] != features:
+        raise DataLoadError(f"{path}: header must start with f0..f{{D-1}}, got {header}")
+    if not rows:
+        raise DataLoadError(f"{path}: no data rows")
+    width, lengths, values = n_feat + n_lab, {len(row) for _, row in rows}, None
+    if lengths == {width} or not labeled and min(lengths) >= width:
+        with contextlib.suppress(ValueError):
+            values = np.array([float(v) for _, row in rows for v in row[:width]]).reshape(-1, width)
+    if values is None or not (np.isfinite(values).all()
+                              and np.isin(values[:, n_feat:], _ALLOWED_LABELS).all()):
+        values = _walk_rows(path, rows, n_feat, width, labeled)
+    logger.debug("read %s: %d x %d in %.1f ms", path, *values.shape, 1e3 * (perf_counter() - t0))
+    return values, n_feat
 
 
-def _parse_row(path, lineno: int, fields: list[str]) -> list[float]:
-    """A row's fields as finite floats, or a :class:`DataLoadError` naming the row."""
-    try:
-        values = [float(v) for v in fields]
-    except ValueError as exc:
-        raise DataLoadError(f"{path}: row {lineno}: {exc}") from None
-    if not np.all(np.isfinite(values)):
-        raise DataLoadError(f"{path}: row {lineno} contains NaN/Inf")
-    return values
+def _walk_rows(path, rows, n_feat: int, width: int, labeled: bool) -> np.ndarray:
+    """:func:`_read_table`'s rows checked one at a time, raising the first bad
+    row's :class:`DataLoadError`.  A feature read strips each field first, so
+    it also takes the separators \\x1c-\\x1f around a number, which ``float()``
+    alone refuses; then no row is bad and the parsed rows are returned."""
+    parsed = []
+    for lineno, row in rows:
+        if len(row) != width if labeled else len(row) < width:
+            expected = width if labeled else f">= {width}"
+            raise DataLoadError(f"{path}: row {lineno} has {len(row)} fields, expected {expected}")
+        try:
+            parsed.append([float(v if labeled else v.strip()) for v in row[:width]])
+        except ValueError as exc:
+            raise DataLoadError(f"{path}: row {lineno}: {exc}") from None
+        if not np.all(np.isfinite(parsed[-1])):
+            raise DataLoadError(f"{path}: row {lineno} contains NaN/Inf")
+        bad = [v for v in parsed[-1][n_feat:] if v not in _ALLOWED_LABELS]
+        if bad:
+            raise DataLoadError(f"{path}: row {lineno} has label {bad[0]!r} outside {{-1, 0, 1}}")
+    return np.array(parsed)
 
 
 def load_dataset(path, domain_id: str | None = None) -> Dataset:
@@ -91,29 +128,8 @@ def load_dataset(path, domain_id: str | None = None) -> Dataset:
     Raises :class:`DataLoadError` naming the offending row for malformed
     values, NaN/Inf entries, or labels outside {-1, 0, 1}.
     """
-    header, rows = _read_csv(path)
-    n_feat = sum(1 for c in header if c.startswith("f"))
-    n_lab = sum(1 for c in header if c.startswith("y"))
-    expected = [f"f{i}" for i in range(n_feat)] + [f"y{i}" for i in range(n_lab)]
-    if n_feat < 1 or n_lab < 1 or header != expected:
-        raise DataLoadError(f"{path}: header must be f0..f{{D-1}},y0..y{{C-1}}, got {header}")
-    X_rows, Y_rows = [], []
-    for lineno, row in rows:
-        if len(row) != n_feat + n_lab:
-            raise DataLoadError(
-                f"{path}: row {lineno} has {len(row)} fields, expected {n_feat + n_lab}"
-            )
-        values = _parse_row(path, lineno, row)
-        labels = values[n_feat:]
-        bad = [v for v in labels if v not in _ALLOWED_LABELS]
-        if bad:
-            raise DataLoadError(f"{path}: row {lineno} has label {bad[0]!r} outside {{-1, 0, 1}}")
-        X_rows.append(values[:n_feat])
-        Y_rows.append(labels)
-    if not X_rows:
-        raise DataLoadError(f"{path}: no data rows")
-    X = np.array(X_rows)
-    Y = np.array(Y_rows)
+    values, n_feat = _read_table(path, labeled=True)
+    X, Y = values[:, :n_feat].copy(), values[:, n_feat:].copy()  # C-ordered, not strided views
     if np.any(Y == 0.0):
         if np.any(Y == -1.0):
             raise DataLoadError(f"{path}: mixes 0/1 and -1/+1 label conventions")
@@ -125,29 +141,27 @@ def load_dataset(path, domain_id: str | None = None) -> Dataset:
 def load_features(path) -> np.ndarray:
     """Load only the feature columns of a CSV; label columns, if present, are
     ignored so prediction inputs can omit them."""
-    header, rows = _read_csv(path)
-    n_feat = sum(1 for c in header if c.startswith("f"))
-    if n_feat < 1 or header[:n_feat] != [f"f{i}" for i in range(n_feat)]:
-        raise DataLoadError(f"{path}: header must start with f0..f{{D-1}}, got {header}")
-    X_rows = []
-    for lineno, row in rows:
-        if len(row) < n_feat:
-            raise DataLoadError(f"{path}: row {lineno} has {len(row)} fields, expected >= {n_feat}")
-        X_rows.append(_parse_row(path, lineno, [c.strip() for c in row[:n_feat]]))
-    if not X_rows:
-        raise DataLoadError(f"{path}: no data rows")
-    return np.array(X_rows)
+    return _read_table(path, labeled=False)[0]
+
+
+def _write_csv(fh, header: list[str], formats: list[str], rows, comments=()) -> None:
+    """Write ``# `` comment lines, the header and each row, its columns
+    %-formatted by ``formats``, to ``fh`` in one string; every line ends in
+    ``\\n``."""
+    t0 = perf_counter()
+    fmt = ",".join(formats)
+    lines = [f"# {c}" for c in comments] + [",".join(header)] + [fmt % tuple(r) for r in rows]
+    fh.write("\n".join(lines) + "\n")
+    logger.debug("wrote %s: %d x %d in %.1f ms", getattr(fh, "name", "<stream>"), len(rows),
+                 len(header), 1e3 * (perf_counter() - t0))
 
 
 def save_dataset(path, data: Dataset, comments: list[str] | None = None) -> None:
     """Write a :class:`Dataset` using the CSV schema; ``repr`` floats round-trip exactly."""
+    header = [f"f{i}" for i in range(data.dim)] + [f"y{i}" for i in range(data.n_outputs)]
     with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(data.dim)] + [f"y{i}" for i in range(data.n_outputs)])
-        for x, y in zip(data.X, data.Y):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in y])
+        _write_csv(fh, header, ["%r"] * len(header), np.hstack([data.X, data.Y]).tolist(),
+                   comments or ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gpde
 import gpde.bench as bench_mod
 import gpde.gp_core as gp_core
 from gpde import (
@@ -351,6 +356,22 @@ class TestCliPipeline:
         assert len(body) == 2 * 2 * 2
         assert {r[0] for r in body} == {"gp_source", "gp_target"}
         assert {r[1] for r in body} == {"4", "8"}
+
+
+def test_verbose_cli_logs_each_csv_read_and_write(corpus, tmp_path):
+    """``gpde -v`` shows one DEBUG line per CSV read and written: the path,
+    rows x columns and the time."""
+    model, data, pred = tmp_path / "model.json", corpus / "target_test.csv", tmp_path / "pred.csv"
+    assert run_cli("train-target", "--target", corpus / "target_train.csv",
+                   "--out", tmp_path / "t.json") == 0
+    assert run_cli("adapt", "--source", tmp_path / "t.json", "--out", model) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gpde.__file__)), os.environ.get("PYTHONPATH", "")])}
+    log = subprocess.run([sys.executable, "-m", "gpde.cli", "-v", "predict", "--model", str(model),
+                          "--data", str(data), "--out", str(pred)],
+                         env=env, capture_output=True, text=True, check=True).stderr
+    assert re.search(rf"DEBUG gpde.data: read {re.escape(str(data))}: 20 x 2 in \d+\.\d ms", log)
+    assert re.search(rf"DEBUG gpde.data: wrote {re.escape(str(pred))}: 20 x 6 in \d+\.\d ms", log)
 
 
 class TestCliErrors:

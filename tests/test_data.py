@@ -1,9 +1,14 @@
+import csv
+import io
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gpde.cli as cli
 from gpde import (
+    BenchmarkSpec,
     ConfigError,
     DataLoadError,
     Dataset,
@@ -17,7 +22,9 @@ from gpde import (
     save_dataset,
     save_shift_config,
     synth_shift,
+    write_result_table,
 )
+from gpde.bench import BenchmarkResult, BenchRow
 from gpde.data import _latent_label_fn
 
 
@@ -30,6 +37,7 @@ class TestCsvRoundTrip:
         back = load_dataset(path, domain_id="d")
         assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.Y, data.Y)
+        assert b"\r" not in path.read_bytes()
 
     def test_label_half_names_offending_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -84,6 +92,177 @@ class TestCsvRoundTrip:
         path = tmp_path / "fo.csv"
         path.write_text("f0,f1\n0.1,0.2\n")
         assert load_features(path).shape == (1, 2)
+
+
+# Rows 0..2999 of a 3-feature, 2-label file: three comment lines, the header,
+# then data, with one more comment line after data row 1000.  So data row i is
+# on line i + 5 up to there and on line i + 6 after it.  The fault goes into
+# data row BAD_ROW.
+BAD_ROW = 2495
+BAD_LINE = BAD_ROW + 6
+
+
+def _deep_file(path, bad_row: str):
+    rng = np.random.default_rng(7)
+    rows = [",".join(map(repr, x)) + f",{y0:.1f},{y1:.1f}"
+            for x, (y0, y1) in zip(rng.normal(size=(3000, 3)).tolist(),
+                                   rng.choice([-1.0, 1.0], size=(3000, 2)).tolist())]
+    rows[BAD_ROW] = bad_row
+    lines = ["# seed=7", "# config_hash=abc", "# note", "f0,f1,f2,y0,y1",
+             *rows[:1001], "# mid-file comment", *rows[1001:]]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# fault: (bad row, load_dataset's message, load_features' message or None if it loads)
+DEEP_FAULTS = {
+    "unparsable": ("0.1, abc,0.3,1,-1", "row {line}: could not convert string to float: ' abc'",
+                   "row {line}: could not convert string to float: 'abc'"),
+    "nan": ("0.1,nan,0.3,1,-1", "row {line} contains NaN/Inf", "row {line} contains NaN/Inf"),
+    "inf": ("0.1,0.2,-inf,1,-1", "row {line} contains NaN/Inf", "row {line} contains NaN/Inf"),
+    "label": ("0.1,0.2,0.3,1,0.5", "row {line} has label 0.5 outside {{-1, 0, 1}}", None),
+    "short": ("0.1,0.2", "row {line} has 2 fields, expected 5",
+              "row {line} has 2 fields, expected >= 3"),
+}
+
+
+class TestDeepBadRow:
+    """A fault deep in a large file is named by its line number, which differs
+    from its data-row index, with the loaders' full message text."""
+
+    @pytest.mark.parametrize("fault", DEEP_FAULTS)
+    def test_load_dataset(self, tmp_path, fault):
+        row, message, _ = DEEP_FAULTS[fault]
+        path = _deep_file(tmp_path / "deep.csv", row)
+        with pytest.raises(DataLoadError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: " + message.format(line=BAD_LINE)
+
+    @pytest.mark.parametrize("fault", DEEP_FAULTS)
+    def test_load_features(self, tmp_path, fault):
+        row, _, message = DEEP_FAULTS[fault]
+        path = _deep_file(tmp_path / "deep.csv", row)
+        if message is None:  # labels are not read
+            assert load_features(path).shape == (3000, 3)
+            return
+        with pytest.raises(DataLoadError) as err:
+            load_features(path)
+        assert str(err.value) == f"{path}: " + message.format(line=BAD_LINE)
+
+    def test_first_bad_row_wins(self, tmp_path):
+        """A short row after an unparsable one: the unparsable one is named."""
+        path = _deep_file(tmp_path / "deep.csv", "0.1,x,0.3,1,-1")
+        lines = path.read_text().splitlines()
+        lines[BAD_LINE + 10 - 1] = "0.1"
+        path.write_text("\n".join(lines) + "\n")
+        for load in (load_dataset, load_features):
+            with pytest.raises(DataLoadError, match=f"row {BAD_LINE}: could not convert"):
+                load(path)
+
+
+# the edge values every writer must format as the per-field code before it did
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e-10, 1e300, -1e300, 1.0, -1.0, 0.1, 123456789.123]
+
+
+def _edge_matrix(rng, n, c):
+    values = np.concatenate([EDGES, rng.normal(size=n * c - len(EDGES)) * 10.0 ** rng.integers(
+        -12, 12, size=n * c - len(EDGES))])
+    return rng.permutation(values).reshape(n, c)
+
+
+def _oracle_dataset_text(data: Dataset, comments) -> str:
+    """``save_dataset``'s text as it was written one field at a time, with
+    ``\\n`` line ends."""
+    out = io.StringIO()
+    for line in comments:
+        out.write(f"# {line}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f"f{i}" for i in range(data.dim)] + [f"y{i}" for i in range(data.n_outputs)])
+    for x, y in zip(data.X, data.Y):
+        writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in y])
+    return out.getvalue()
+
+
+class TestCsvOracles:
+    """The array writer and reader against the per-field code they replaced."""
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_save_dataset_text(self, tmp_path, rng, c):
+        data = Dataset(X=_edge_matrix(rng, 40, 2), Y=rng.choice([-1.0, 1.0], size=(40, c)))
+        path = tmp_path / "d.csv"
+        save_dataset(path, data, comments=["seed=1", "config_hash=x"])
+        assert path.read_bytes() == _oracle_dataset_text(data, ["seed=1", "config_hash=x"]).encode()
+        back = load_dataset(path)
+        assert np.array_equal(back.X.view(np.int64), data.X.view(np.int64))
+        assert np.array_equal(back.Y.view(np.int64), data.Y.view(np.int64))
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_predict_text(self, tmp_path, rng, monkeypatch, c):
+        mean = _edge_matrix(rng, 30, c)
+        variance = np.abs(_edge_matrix(rng, 30, 1)[:, 0]) + np.r_[1e-10, np.zeros(29)]
+        labels = np.where(mean >= 0.0, 1.0, -1.0)
+        monkeypatch.setattr(cli, "load_bundle", lambda path: None)
+        monkeypatch.setattr(cli, "load_features", lambda path: None)
+        monkeypatch.setattr(cli, "predict", lambda model, X: SimpleNamespace(
+            mean=mean, variance=variance, labels=labels))
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", "m", "--data", "d", "--out", str(out)]) == 0
+        expected = ",".join([f"mean{j}" for j in range(c)] + [f"var{j}" for j in range(c)]
+                            + [f"label{j}" for j in range(c)]) + "\n"
+        for m, v, lab in zip(mean, variance, labels):
+            expected += ",".join([f"{x:.8g}" for x in m] + [f"{v:.8g}"] * c
+                                 + [f"{int(x):d}" for x in lab]) + "\n"
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("target", [None, "target_train"])
+    def test_weights_text(self, tmp_path, rng, monkeypatch, target):
+        names = ["source_0", "source_1"] + ([target] if target else [])
+        W = np.abs(_edge_matrix(rng, 30, len(names)))
+        expert = lambda name: SimpleNamespace(data=SimpleNamespace(domain_id=name))  # noqa: E731
+        model = SimpleNamespace(sources=[expert(n) for n in names[:2]],
+                                target=expert(target) if target else None)
+        monkeypatch.setattr(cli, "load_bundle", lambda path: model)
+        monkeypatch.setattr(cli, "load_features", lambda path: None)
+        monkeypatch.setattr(cli, "expert_weights", lambda model, X: W)
+        out = tmp_path / "w.csv"
+        assert cli.main(["weights", "--model", "m", "--data", "d", "--out", str(out)]) == 0
+        expected = ",".join(names) + "\n" + "".join(
+            ",".join(f"{x:.8g}" for x in row) + "\n" for row in W)
+        assert out.read_bytes() == expected.encode()
+
+    def test_result_table_text(self, rng):
+        rows = [BenchRow("gpde", 10, 0, "acc", v) for v in EDGES + [0.5 + 1e-7, 2 / 3]]
+        result = BenchmarkResult(BenchmarkSpec(seed=9), rows, "abc123")
+        out = io.StringIO()
+        write_result_table(out, result)
+        expected = "# seed=9\n# config_hash=abc123\nmethod,n_t,fold,metric,value\n" + "".join(
+            f"{r.method},{r.n_t},{r.fold},{r.metric},{r.value:.6f}\n" for r in rows)
+        assert out.getvalue() == expected
+
+    def test_loaders_return_what_float_returns(self, tmp_path, rng):
+        fields = [[repr(v), repr(-v), " 1.5 ", "1_0", "+1", "-0", ".5e-3", "1E+300", "\t2 ",
+                   "5e-324", "\u20007"] for v in rng.normal(size=12).tolist()]
+        labels = [["+1", " -1", "1.0", "-1e0"][i % 4] for i in range(12)]
+        path = tmp_path / "f.csv"
+        header = ",".join([f"f{i}" for i in range(11)] + ["y0"])
+        path.write_text(header + "\n" + "".join(",".join(r + [y]) + "\n"
+                                                for r, y in zip(fields, labels)))
+        X = np.array([[float(v) for v in r] for r in fields])
+        Y = np.array([[float(y)] for y in labels])
+        data = load_dataset(path)
+        assert np.array_equal(data.X.view(np.int64), X.view(np.int64))
+        assert np.array_equal(data.Y.view(np.int64), Y.view(np.int64))
+        assert data.X.flags.c_contiguous and data.Y.flags.c_contiguous
+        assert np.array_equal(load_features(path).view(np.int64), X.view(np.int64))
+
+    def test_features_strip_separator_characters(self, tmp_path):
+        """``load_features`` strips each field with ``str.strip``, which also
+        drops \\x1c-\\x1f; ``load_dataset`` parses fields as they are."""
+        path = tmp_path / "s.csv"
+        path.write_text("f0,f1,y0\n0.5,\x1c1.5\x1f,1\n2.5,3.5,-1\n")
+        assert np.array_equal(load_features(path), [[0.5, 1.5], [2.5, 3.5]])
+        with pytest.raises(DataLoadError, match="row 2: could not convert string to float"):
+            load_dataset(path)
 
 
 class TestPca:
