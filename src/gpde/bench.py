@@ -5,21 +5,18 @@ synthetic folds, which regenerate their sources, and once per run for
 file-mode folds, which share them.  The target training set is then grown
 through the requested cardinality schedule and every method is scored on the
 held-out target test set.  Every method is a :class:`GpdeModel`
-configuration (``pooled`` is one expert on all source data, ``target`` the
-expert fit on the target subset, ``sources`` the per-domain experts):
-
-    method     experts (sources; target)    betas
-    gp_source  [pooled]; none               [1]
-    gp_target  []; target                   [1]
-    gpa        [pooled]; target             [1, 0]
-    gpde_ss    [pooled]; target             [1/2, 1/2]
-    gpde       sources; target              uniform 1/(S+1)
+configuration, stated once in ``_METHODS``: its kind of source experts
+(``pooled``, one expert on all source data; ``domains``, one expert per
+source domain; or none), whether it has the expert fit on the target subset,
+and its betas, where ``None`` is the model's default, uniform over the
+experts present.
 
 A source expert is conditioned on the target subset whenever the model has a
 target expert, so ``gpa`` is the adapted pooled expert alone: its zero beta
 switches the target expert's own prediction off exactly.  Methods over the
 same experts (``gpa`` and ``gpde_ss``) share one :func:`predict` per
 cardinality, and each fuses its per-expert predictions with its own betas.
+A method without a target expert is scored once per fold.
 
 Results are per-(method, cardinality, fold, metric) rows; aggregation is a
 plain mean over folds.  Synthetic folds are independent regenerations of the
@@ -36,8 +33,7 @@ import numpy as np
 
 from .data import ShiftConfig, _write_csv, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
-from .experts import (MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts,
-                      uniform_betas)
+from .experts import MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts
 from .gp_core import Dataset, Expert, fit, train_expert
 from .metrics import classification_rate, multilabel_report
 
@@ -46,11 +42,16 @@ __all__ = ["METHODS", "BenchmarkSpec", "BenchRow", "BenchmarkResult", "run_bench
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("gp_source", "gp_target", "gpa", "gpde_ss", "gpde")
+# method: (source-expert kind, has a target expert, betas or None for uniform)
+_METHODS = {
+    "gp_source": ("pooled", False, None),
+    "gp_target": (None, True, None),
+    "gpa": ("pooled", True, (1.0, 0.0)),
+    "gpde_ss": ("pooled", True, None),
+    "gpde": ("domains", True, None),
+}
+METHODS = tuple(_METHODS)
 METRICS = ("acc", "cr", "f1", "auc")
-
-_TARGET_METHODS = {"gp_target", "gpa", "gpde_ss", "gpde"}
-_POOLED_METHODS = {"gp_source", "gpa", "gpde_ss"}
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,9 @@ class BenchmarkResult:
     def summary(self) -> list[tuple[str, int, str, float]]:
         """Mean value over folds per (method, n_t, metric), in row order."""
         keyed: dict[tuple[str, int, str], list[float]] = {}
-        order = []
         for r in self.rows:
-            key = (r.method, r.n_t, r.metric)
-            if key not in keyed:
-                keyed[key] = []
-                order.append(key)
-            keyed[key].append(r.value)
-        return [(m, n, met, float(np.mean(keyed[(m, n, met)]))) for m, n, met in order]
+            keyed.setdefault((r.method, r.n_t, r.metric), []).append(r.value)
+        return [(*key, float(np.mean(values))) for key, values in keyed.items()]
 
     def mean(self, method: str, n_t: int, metric: str) -> float:
         values = [r.value for r in self.rows
@@ -152,11 +148,10 @@ def _score(mean: np.ndarray, labels: np.ndarray, test: Dataset, spec: BenchmarkS
 
 class _SourceSide(NamedTuple):
     """The PCA projection fit on the sources, and the source experts the
-    methods need."""
+    methods need by kind (``_METHODS``)."""
 
     project: Callable[[Dataset], Dataset]
-    pooled: Expert | None
-    experts: list[Expert]
+    experts: dict[str | None, list[Expert]]
 
 
 def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
@@ -170,33 +165,18 @@ def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
         return Dataset(X=pca_apply(projector, d.X), Y=d.Y, domain_id=d.domain_id)
 
     sources = [project(s) for s in sources]
-    pooled, experts = None, []
-    if _POOLED_METHODS & set(spec.methods):
+    kinds = {_METHODS[m][0] for m in spec.methods}
+    experts = {None: []}
+    if "pooled" in kinds:
         data = Dataset(
             X=np.concatenate([s.X for s in sources]),
             Y=np.concatenate([s.Y for s in sources]),
             domain_id="source_pool",
         )
-        pooled = train_expert(data, fit([data]))
-    if "gpde" in spec.methods:
-        experts = train_source_experts(sources)
-    return _SourceSide(project, pooled, experts)
-
-
-def _score_methods(models: dict, test: Dataset, spec: BenchmarkSpec) -> dict:
-    """Scores per method of ``models`` {method: (source experts, target expert,
-    betas)}.  Methods over the same experts share one :func:`predict` and
-    differ only in the betas that fuse its per-expert predictions."""
-    predictions = {}
-    scores = {}
-    for method, (experts, target, betas) in models.items():
-        key = (tuple(map(id, experts)), id(target))
-        if key not in predictions:
-            predictions[key] = predict(GpdeModel(experts, target, betas, mode=spec.mode), test.X)
-        p = predictions[key]
-        mean, _ = fuse(p.per_expert_means, p.per_expert_variances, betas)
-        scores[method] = _score(mean, hard_labels(mean, spec.mode), test, spec)
-    return scores
+        experts["pooled"] = [train_expert(data, fit([data]))]
+    if "domains" in kinds:
+        experts["domains"] = train_source_experts(sources)
+    return _SourceSide(project, experts)
 
 
 def _folds(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | None,
@@ -242,8 +222,8 @@ def run_benchmark(
     synthetic = shift_cfg is not None
     if synthetic == (source_datasets is not None or target_pool is not None):
         raise InvalidInputError("pass either source_datasets+target_pool or shift_cfg")
-    needs_target = bool(_TARGET_METHODS & set(spec.methods))
-    needs_sources = bool(_POOLED_METHODS & set(spec.methods)) or "gpde" in spec.methods
+    needs_target = any(_METHODS[m][1] for m in spec.methods)
+    needs_sources = any(_METHODS[m][0] for m in spec.methods)
 
     # schedule-vs-pool validation, before any training
     if synthetic:
@@ -269,19 +249,21 @@ def run_benchmark(
     folds = _folds(spec, list(source_datasets or []), target_pool, shift_cfg)
     for fold, (side, pool, test) in enumerate(folds):
         scores = {}
-        if "gp_source" in spec.methods:  # ignores the target set: scored once per fold
-            scores = _score_methods({"gp_source": ([side.pooled], None, [1.0])}, test, spec)
         for n_t in spec.schedule:
             target = Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")
             target_expert = train_expert(target, fit([target])) if needs_target else None
-            models = {  # method: (source experts, target expert, betas)
-                "gp_target": ([], target_expert, [1.0]),
-                "gpa": ([side.pooled], target_expert, [1.0, 0.0]),
-                "gpde_ss": ([side.pooled], target_expert, uniform_betas(2)),
-                "gpde": (side.experts, target_expert, uniform_betas(len(side.experts) + 1)),
-            }
-            scores.update(_score_methods({m: models[m] for m in spec.methods if m in models},
-                                         test, spec))
+            predictions = {}  # (kind, has target): one predict, fused per method's betas
+            for method in spec.methods:
+                kind, has_target, betas = _METHODS[method]
+                if method in scores and not has_target:  # ignores the target set
+                    continue
+                model = GpdeModel(side.experts[kind], target_expert if has_target else None,
+                                  betas, spec.mode)
+                if (kind, has_target) not in predictions:
+                    predictions[kind, has_target] = predict(model, test.X)
+                p = predictions[kind, has_target]
+                mean, _ = fuse(p.per_expert_means, p.per_expert_variances, model.betas)
+                scores[method] = _score(mean, hard_labels(mean, spec.mode), test, spec)
             for method in spec.methods:
                 rows.extend(
                     BenchRow(method, n_t, fold, metric, value)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import os
 import sys
@@ -28,7 +29,7 @@ from .bench import METHODS, METRICS, BenchmarkSpec, run_benchmark, write_result_
 from .data import (ShiftConfig, _write_csv, config_hash, load_dataset, load_features,
                    load_shift_config, save_dataset, save_shift_config, synth_shift)
 from .exceptions import ConfigError, DataLoadError, GpdeError
-from .experts import MODES, GpdeModel, expert_weights, predict, uniform_betas
+from .experts import MODES, GpdeModel, expert_weights, predict
 from .gp_core import fit
 from .model_io import load_bundle, load_experts, save_bundle, save_expert_pool
 
@@ -76,8 +77,7 @@ def _cmd_adapt(args) -> int:
             raise DataLoadError(f"{args.target}: a target pool must hold exactly one domain, "
                                 f"not {len(targets)}")
         target = targets[0]
-    model = GpdeModel(sources, target, uniform_betas(len(sources) + (target is not None)),
-                      args.mode)
+    model = GpdeModel(sources, target, mode=args.mode)
     save_bundle(args.out, model, seed=args.seed)
     print(args.out)
     return 0
@@ -161,6 +161,7 @@ def _cmd_synth(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpde",
@@ -208,16 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, metavar="CSV")
     p.add_argument("--config", default=None, help="shift-config file for synthetic folds")
     p.add_argument("--synth", action="store_true", help="use the default synthetic config")
-    p.add_argument("--nt", nargs="+", default=["10,30,50,100"],
+    p.add_argument("--nt", nargs="+", default=[",".join(map(str, BenchmarkSpec.schedule))],
                    help="target cardinality schedule, e.g. 10,30,50,100")
     p.add_argument("--methods", nargs="+", default=[",".join(METHODS)],
                    help=f"subset of {','.join(METHODS)}")
     p.add_argument("--metrics", nargs="+", default=None,
                    help=f"subset of {','.join(METRICS)} (default per mode)")
-    p.add_argument("--mode", choices=MODES, default="multilabel")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--energy", type=float, default=0.99,
+    p.add_argument("--mode", choices=MODES, default=BenchmarkSpec.mode)
+    p.add_argument("--folds", type=int, default=BenchmarkSpec.folds)
+    p.add_argument("--seed", type=int, default=BenchmarkSpec.seed)
+    p.add_argument("--energy", type=float, default=BenchmarkSpec.energy,
                    help="PCA energy fraction; 1.0 keeps full rank")
     p.add_argument("--out", default=None, help="result table path (default stdout)")
     p.set_defaults(func=_cmd_bench)
@@ -249,10 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except GpdeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GpdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,8 +71,9 @@ def _read_table(path, labeled: bool) -> tuple[np.ndarray, int]:
     """
     t0 = perf_counter()
     try:
-        with open(path, newline="") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+        with open(path, newline="") as fh:  # a row's number is the line it ends on
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader
                     if row and not row[0].lstrip().startswith("#")]
     except (ValueError, csv.Error) as exc:  # ValueError: bad UTF-8, NUL in path
         raise DataLoadError(f"{path}: not a readable CSV file ({exc})") from None

@@ -74,17 +74,19 @@ def _check_betas(betas, n_experts: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GpdeModel:
     """Trained expert pool: M source experts, an optional target expert, and
-    normalized combination weights (ordered sources first, target last)."""
+    normalized combination weights (ordered sources first, target last),
+    uniform over the experts present unless given."""
 
     sources: list[Expert]
     target: Expert | None
-    betas: np.ndarray
+    betas: np.ndarray | None = None
     mode: str = "multilabel"
 
     def __post_init__(self):
         if self.n_experts == 0:
             raise InvalidInputError("model needs at least one expert")
-        object.__setattr__(self, "betas", _check_betas(self.betas, self.n_experts))
+        betas = uniform_betas(self.n_experts) if self.betas is None else self.betas
+        object.__setattr__(self, "betas", _check_betas(betas, self.n_experts))
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
         experts = list(self.sources) + ([self.target] if self.target else [])
@@ -146,8 +148,6 @@ def train_gpde(
     if source_experts is None:
         source_experts = train_source_experts(source_datasets) if source_datasets else []
     target = train_target_expert(target_dataset) if target_dataset is not None else None
-    if betas is None:
-        betas = uniform_betas(len(source_experts) + (1 if target is not None else 0))
     return GpdeModel(sources=source_experts, target=target, betas=betas, mode=mode)
 
 

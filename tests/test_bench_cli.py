@@ -13,6 +13,7 @@ import pytest
 
 import gpde
 import gpde.bench as bench_mod
+import gpde.cli as cli
 import gpde.gp_core as gp_core
 from gpde import (
     BenchmarkSpec,
@@ -27,7 +28,7 @@ from gpde import (
     synth_shift,
     write_result_table,
 )
-from gpde.cli import main
+from gpde.cli import build_parser, main
 
 from conftest import with_config_hash
 
@@ -218,6 +219,37 @@ class TestFileMode:
                                             target_pool=pool).rows
 
 
+class TestMethodTable:
+    """Running methods together shares their experts and predictions but
+    changes no score."""
+
+    @pytest.fixture(scope="class")
+    def file_data(self):
+        sources, pool, _ = synth_shift(SMALL_CFG)
+        return sources, pool
+
+    def test_each_method_alone_gives_its_rows(self, file_data):
+        sources, pool = file_data
+        spec = BenchmarkSpec(schedule=(5, 10), folds=2, metrics=("acc", "f1"), seed=4)
+        together = run_benchmark(spec, source_datasets=sources, target_pool=pool).rows
+        for method in bench_mod.METHODS:
+            alone = run_benchmark(replace(spec, methods=(method,)), source_datasets=sources,
+                                  target_pool=pool).rows
+            assert alone == [r for r in together if r.method == method]
+
+    def test_predict_calls_per_fold(self, file_data, monkeypatch):
+        """gp_source is predicted once per fold; gpa and gpde_ss share one
+        predict per cardinality, and gp_target and gpde take one each."""
+        sources, pool = file_data
+        calls = []
+        real = bench_mod.predict
+        monkeypatch.setattr(bench_mod, "predict",
+                            lambda model, X: calls.append(model) or real(model, X))
+        spec = BenchmarkSpec(schedule=(5, 10, 15), folds=2, metrics=("acc",), seed=4)
+        run_benchmark(spec, source_datasets=sources, target_pool=pool)
+        assert len(calls) == spec.folds * (1 + 3 * len(spec.schedule))
+
+
 class TestSourceFitsRun:
     """Hyperparameter fits actually run on source data, counted at ``fit_detailed``."""
 
@@ -356,6 +388,22 @@ class TestCliPipeline:
         assert len(body) == 2 * 2 * 2
         assert {r[0] for r in body} == {"gp_source", "gp_target"}
         assert {r[1] for r in body} == {"4", "8"}
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_bench_defaults_are_the_spec_defaults(monkeypatch, tmp_path):
+    specs = []
+
+    def capture(spec, **data):
+        specs.append(spec)
+        return gpde.BenchmarkResult(spec, [], "0")
+
+    monkeypatch.setattr(cli, "run_benchmark", capture)
+    assert run_cli("bench", "--synth", "--out", tmp_path / "result.csv") == 0
+    assert specs == [BenchmarkSpec()]
 
 
 def test_verbose_cli_logs_each_csv_read_and_write(corpus, tmp_path):

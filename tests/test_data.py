@@ -70,6 +70,15 @@ class TestCsvRoundTrip:
         with pytest.raises(DataLoadError, match="row 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("load", [load_dataset, load_features])
+    def test_row_named_by_the_line_it_ends_on(self, tmp_path, load):
+        """A quoted field spans lines 2 and 3, so the bad record is the file's
+        third but sits on line 4."""
+        path = tmp_path / "q.csv"
+        path.write_text('f0,y0\n"1\n",1\nx,1\n')
+        with pytest.raises(DataLoadError, match="row 4: could not convert"):
+            load(path)
+
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("f0,y0\nnan,1\n")

@@ -146,6 +146,17 @@ class TestBundle:
                          "--out", str(pool_dir / "bundle.json")]) == 0
         assert np.array_equal(load_bundle(pool_dir / "bundle.json").betas, uniform_betas(3))
 
+    def test_betas_default_to_uniform(self, pool_dir):
+        sources = load_experts(pool_dir / "sources.json")
+        (target,) = load_experts(pool_dir / "targetpool.json")
+        implicit = GpdeModel(sources, target)
+        assert np.array_equal(implicit.betas, uniform_betas(3))
+        save_bundle(pool_dir / "implicit.json", implicit, seed=0)
+        save_bundle(pool_dir / "explicit.json", GpdeModel(sources, target, uniform_betas(3)),
+                    seed=0)
+        assert (pool_dir / "implicit.json").read_bytes() == \
+            (pool_dir / "explicit.json").read_bytes()
+
     def test_source_only_bundle(self, tmp_path, rng):
         model = train_gpde([random_dataset(rng, n=9, d=2, c=2, domain_id=f"s{k}")
                             for k in range(2)], None)

@@ -18,6 +18,7 @@ REMOVED = {
     "gpde.model_io": ["load_expert_pool"],
     "gpde.gp_core": ["default_init", "_lml_value", "_lml_grad"],
     "gpde.data": ["latent_label_fn"],
+    "gpde.bench": ["_TARGET_METHODS", "_POOLED_METHODS", "_score_methods"],
 }
 
 
