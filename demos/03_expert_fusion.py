@@ -7,12 +7,14 @@ import numpy as np
 
 from gpde import (
     Dataset,
+    GpdeModel,
     ShiftConfig,
     expert_weights,
     multilabel_report,
     predict,
     synth_shift,
     train_gpde,
+    train_target_expert,
 )
 
 cfg = ShiftConfig(seed=42)
@@ -58,7 +60,7 @@ for name, w in zip(names, W.mean(axis=0)):
 # The same committee re-pointed at a bigger target set leans on the target
 # expert more, because its predictive variance drops with more data.
 for m in (10, 200):
-    bigger = train_gpde(sources, Dataset(target_pool.X[:m], target_pool.Y[:m], "t"),
-                        source_experts=model.sources)
+    bigger = GpdeModel(model.sources,
+                       train_target_expert(Dataset(target_pool.X[:m], target_pool.Y[:m], "t")))
     w_t = expert_weights(bigger, test.X)[:, -1].mean()
     print(f"mean target-expert weight with {m:3d} target points: {w_t:.3f}")

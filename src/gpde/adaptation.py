@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import InvalidInputError
-from .gp_core import (Dataset, Expert, PosteriorPrediction, _as_queries, _factor,
-                      _posterior_with_solve, _solve_lower, posterior)
+from .gp_core import (Dataset, Expert, PosteriorPrediction, _as_queries, _check_domains,
+                      _factor, _posterior_with_solve, _solve_lower, posterior)
 from .kernel import kernel_matrix
 
 __all__ = ["AdaptedExpert", "adapted_posterior"]
@@ -43,14 +42,7 @@ class AdaptedExpert:
     """
 
     def __init__(self, source: Expert, target: Dataset, *, K_tt: np.ndarray | None = None):
-        if target.dim != source.data.dim:
-            raise InvalidInputError(
-                f"target has D={target.dim}, source expert has D={source.data.dim}"
-            )
-        if target.n_outputs != source.data.n_outputs:
-            raise InvalidInputError(
-                f"target has C={target.n_outputs}, source expert has C={source.data.n_outputs}"
-            )
+        _check_domains([source.data, target])
         self.source = source
         self.target = target
         # Source posterior jointly at the target inputs: mean (N_t x C) and

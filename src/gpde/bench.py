@@ -33,8 +33,9 @@ import numpy as np
 
 from .data import ShiftConfig, _write_csv, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
-from .experts import MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts
-from .gp_core import Dataset, Expert, fit, train_expert
+from .experts import (MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts,
+                      train_target_expert)
+from .gp_core import Dataset, Expert
 from .metrics import classification_rate, multilabel_report
 
 __all__ = ["METHODS", "BenchmarkSpec", "BenchRow", "BenchmarkResult", "run_benchmark",
@@ -173,7 +174,7 @@ def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
             Y=np.concatenate([s.Y for s in sources]),
             domain_id="source_pool",
         )
-        experts["pooled"] = [train_expert(data, fit([data]))]
+        experts["pooled"] = train_source_experts([data])
     if "domains" in kinds:
         experts["domains"] = train_source_experts(sources)
     return _SourceSide(project, experts)
@@ -187,7 +188,7 @@ def _folds(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | N
     ``target_pool``, fold i testing on slice i and training on the rest."""
     if shift_cfg is not None:
         seeds = np.random.SeedSequence(spec.seed).generate_state(spec.folds)
-        splits = (synth_shift(replace(shift_cfg, seed=int(s), mode=spec.mode)) for s in seeds)
+        splits = (synth_shift(replace(shift_cfg, seed=int(s))) for s in seeds)
     else:
         perm = np.random.default_rng(np.random.SeedSequence([spec.seed, 1])).permutation(
             target_pool.n)
@@ -214,7 +215,8 @@ def run_benchmark(
     shift_cfg: ShiftConfig | None = None,
 ) -> BenchmarkResult:
     """Run the protocol on file data (``source_datasets`` + ``target_pool``)
-    or on independently regenerated synthetic folds (``shift_cfg``).
+    or on independently regenerated synthetic folds (``shift_cfg``, whose
+    mode is set to ``spec.mode`` before it is hashed or run).
 
     The schedule is validated against the available target training pool
     before any training starts.
@@ -227,6 +229,7 @@ def run_benchmark(
 
     # schedule-vs-pool validation, before any training
     if synthetic:
+        shift_cfg = replace(shift_cfg, mode=spec.mode)
         pool_size = shift_cfg.n_target_train
         if needs_sources and shift_cfg.n_source_domains < 1:
             raise ConfigError("requested methods need at least one source domain")
@@ -251,7 +254,7 @@ def run_benchmark(
         scores = {}
         for n_t in spec.schedule:
             target = Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")
-            target_expert = train_expert(target, fit([target])) if needs_target else None
+            target_expert = train_target_expert(target) if needs_target else None
             predictions = {}  # (kind, has target): one predict, fused per method's betas
             for method in spec.methods:
                 kind, has_target, betas = _METHODS[method]

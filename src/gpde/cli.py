@@ -141,10 +141,7 @@ def _cmd_bench(args) -> int:
 def _cmd_synth(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(ShiftConfig)
                  if getattr(args, f.name) is not None}
-    if args.config:
-        cfg = load_shift_config(args.config, **overrides)
-    else:
-        cfg = replace(ShiftConfig(), **overrides)
+    cfg = replace(load_shift_config(args.config) if args.config else ShiftConfig(), **overrides)
     sources, target_train, target_test = synth_shift(cfg)
     os.makedirs(args.out, exist_ok=True)
     tag = [f"seed={cfg.seed}", f"config_hash={config_hash(cfg)}"]

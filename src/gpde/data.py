@@ -22,7 +22,7 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from time import perf_counter
 from typing import get_type_hints
 
@@ -32,6 +32,7 @@ from scipy.linalg import expm
 from .exceptions import ConfigError, DataLoadError, InvalidInputError
 from .experts import MODES, hard_labels
 from .gp_core import Dataset
+from .kernel import _as_matrix
 
 __all__ = [
     "load_dataset",
@@ -206,9 +207,7 @@ def pca_fit(X, energy: float = 0.99) -> PcaProjector:
 
 def pca_apply(p: PcaProjector, X) -> np.ndarray:
     """Center by the fitted mean and project onto the retained basis."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = _as_matrix(X, "X")
     if X.shape[1] != p.basis.shape[0]:
         raise InvalidInputError(
             f"X has D={X.shape[1]}, projector was fit with D={p.basis.shape[0]}"
@@ -354,8 +353,9 @@ def save_shift_config(path, cfg: ShiftConfig) -> None:
             fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 
 
-def load_shift_config(path, **overrides) -> ShiftConfig:
-    """Parse a flat ``key = value`` file into a :class:`ShiftConfig`."""
+def load_shift_config(path) -> ShiftConfig:
+    """Parse a flat ``key = value`` file into a :class:`ShiftConfig`; a
+    caller changes fields of the result with :func:`dataclasses.replace`."""
     known = get_type_hints(ShiftConfig)  # field name: declared type
     try:
         with open(path) as fh:
@@ -377,8 +377,7 @@ def load_shift_config(path, **overrides) -> ShiftConfig:
             values[key] = known[key](raw)
         except ValueError:
             raise ConfigError(f"{path}: line {lineno}: bad value {raw!r} for {key}") from None
-    cfg = ShiftConfig(**values)
-    return replace(cfg, **overrides) if overrides else cfg
+    return ShiftConfig(**values)
 
 
 def config_hash(obj) -> str:

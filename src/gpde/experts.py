@@ -25,7 +25,7 @@ import numpy as np
 from ._blas import blas_threads
 from .adaptation import AdaptedExpert
 from .exceptions import InvalidInputError
-from .gp_core import Dataset, Expert, _as_queries, fit, posterior, train_expert
+from .gp_core import Dataset, Expert, _as_queries, _check_domains, fit, posterior, train_expert
 from .kernel import kernel_matrix
 
 __all__ = [
@@ -83,17 +83,11 @@ class GpdeModel:
     mode: str = "multilabel"
 
     def __post_init__(self):
-        if self.n_experts == 0:
-            raise InvalidInputError("model needs at least one expert")
+        _check_domains([e.data for e in [*self.sources, self.target] if e is not None])
         betas = uniform_betas(self.n_experts) if self.betas is None else self.betas
         object.__setattr__(self, "betas", _check_betas(betas, self.n_experts))
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        experts = list(self.sources) + ([self.target] if self.target else [])
-        dim, n_out = experts[0].data.dim, experts[0].data.n_outputs
-        for e in experts:
-            if e.data.dim != dim or e.data.n_outputs != n_out:
-                raise InvalidInputError("all experts must share feature and output dimensions")
         for e in self.sources[1:]:
             if e.hyper != self.sources[0].hyper:
                 raise InvalidInputError("source experts must share identical hyperparameters")
@@ -121,14 +115,15 @@ class FusedPrediction:
 
 def train_source_experts(source_datasets: list[Dataset]) -> list[Expert]:
     """Fit one shared hyperparameter triple over all source datasets and
-    train an expert per dataset with it."""
+    train an expert per dataset with it; the one place a fit is paired with
+    expert training."""
     shared = fit(source_datasets)
     return [train_expert(d, shared) for d in source_datasets]
 
 
 def train_target_expert(target_dataset: Dataset) -> Expert:
     """Fit hyperparameters on the target data alone and train its expert."""
-    return train_expert(target_dataset, fit([target_dataset]))
+    return train_source_experts([target_dataset])[0]
 
 
 def train_gpde(
@@ -136,19 +131,18 @@ def train_gpde(
     target_dataset: Dataset | None,
     betas: np.ndarray | None = None,
     mode: str = "multilabel",
-    source_experts: list[Expert] | None = None,
 ) -> GpdeModel:
     """Train the full expert pool.
 
-    Source experts are independent of the target, so a pre-trained list can
-    be passed via ``source_experts`` to adapt the same pool to a new target
-    domain without refitting.  ``target_dataset=None`` builds a source-only
-    pool.  Weights default to uniform over the experts present.
+    ``target_dataset=None`` builds a source-only pool.  Weights default to
+    uniform over the experts present.  Source experts do not depend on the
+    target, so a trained pool is re-pointed at a new target domain, with no
+    source refit, by composition:
+    ``GpdeModel(model.sources, train_target_expert(new_target))``.
     """
-    if source_experts is None:
-        source_experts = train_source_experts(source_datasets) if source_datasets else []
+    sources = train_source_experts(source_datasets) if source_datasets else []
     target = train_target_expert(target_dataset) if target_dataset is not None else None
-    return GpdeModel(sources=source_experts, target=target, betas=betas, mode=mode)
+    return GpdeModel(sources=sources, target=target, betas=betas, mode=mode)
 
 
 def fuse(

@@ -54,7 +54,7 @@ from scipy.optimize import minimize
 
 from ._blas import blas_threads, flush_subnormals
 from .exceptions import InvalidInputError, NumericalError
-from .kernel import Hyperparams, _rbf, kernel_matrix, squared_distances
+from .kernel import Hyperparams, _as_matrix, _rbf, kernel_matrix, squared_distances
 
 __all__ = [
     "Dataset",
@@ -245,15 +245,15 @@ def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray, out: np.ndarray | No
     return L, alpha, jitter
 
 
-def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work=None) -> tuple[float, np.ndarray]:
+def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work) -> tuple[float, np.ndarray]:
     """Log-marginal likelihood from a precomputed squared-distance matrix, and
     its log-space gradient, from one factorization.
 
-    ``work`` is a pair of C-ordered arrays of ``sq``'s shape that receive K
-    and L, overwritten; without it both are new arrays.
+    ``work`` is a pair of C-ordered arrays of ``sq``'s shape, the caller's
+    workspace, which receive K and L and are overwritten.
     """
     n, c = Y.shape
-    K_out, L_out = (None, None) if work is None else work
+    K_out, L_out = work
     K = _rbf(sq, h, out=K_out)
     L, alpha, _ = _factor(K, h.noise_std**2, Y, L_out)
     quad = float(np.sum(Y * alpha))
@@ -293,7 +293,7 @@ def log_marginal_likelihood(data: Dataset, h: Hyperparams) -> tuple[float, np.nd
         Derivatives w.r.t. (log length_scale, log signal_std, log noise_std).
     """
     with blas_threads(1), flush_subnormals():
-        return _lml(squared_distances(data.X), data.Y, h)
+        return _lml(squared_distances(data.X), data.Y, h, np.empty((2, data.n, data.n)))
 
 
 def _default_init(datasets: list[Dataset]) -> Hyperparams:
@@ -315,14 +315,17 @@ def _default_init(datasets: list[Dataset]) -> Hyperparams:
     return Hyperparams(length_scale=ell or 1.0, signal_std=sf, noise_std=0.1 * sf)
 
 
-def _validate_fit_inputs(datasets: list[Dataset]):
+def _check_domains(datasets: list[Dataset]) -> None:
+    """Require at least one dataset, and one feature count D and one output
+    count C across all of them."""
     if not datasets:
-        raise InvalidInputError("fit needs at least one dataset")
-    dim, n_out = datasets[0].dim, datasets[0].n_outputs
+        raise InvalidInputError("need at least one domain")
+    first = datasets[0]
     for d in datasets[1:]:
-        if d.dim != dim or d.n_outputs != n_out:
+        if (d.dim, d.n_outputs) != (first.dim, first.n_outputs):
             raise InvalidInputError(
-                f"datasets must share D and C: got ({dim},{n_out}) and ({d.dim},{d.n_outputs})"
+                f"domains must share D and C: {first.domain_id!r} has (D, C) = "
+                f"({first.dim}, {first.n_outputs}), {d.domain_id!r} has ({d.dim}, {d.n_outputs})"
             )
 
 
@@ -351,7 +354,7 @@ def fit_detailed(datasets: list[Dataset], init: Hyperparams | None = None) -> Fi
     docstring); both leave every result bit for bit as it would be without
     them.
     """
-    _validate_fit_inputs(datasets)
+    _check_domains(datasets)
     with blas_threads(1), flush_subnormals():
         return _fit(datasets, init)
 
@@ -489,9 +492,7 @@ def train_expert(data: Dataset, h: Hyperparams) -> Expert:
 
 def _as_queries(e: Expert, X_star) -> np.ndarray:
     """Test inputs as an M x D float matrix, checked against the expert's D."""
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim == 1:
-        X_star = X_star[None, :]
+    X_star = _as_matrix(X_star, "X_star")
     if X_star.shape[1] != e.data.dim:
         raise InvalidInputError(
             f"X_star has D={X_star.shape[1]}, expert was trained with D={e.data.dim}"

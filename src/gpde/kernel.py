@@ -65,6 +65,7 @@ class Hyperparams:
 
 
 def _as_matrix(X, name: str) -> np.ndarray:
+    """``X`` as an M x D float matrix, a single row for a 1-d input."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
@@ -112,9 +113,9 @@ def kernel_matrix(X, X_prime=None, *, h: Hyperparams) -> np.ndarray:
     return _rbf(sq, h, out=sq)
 
 
-def _rbf(sq: np.ndarray, h: Hyperparams, out: np.ndarray | None = None) -> np.ndarray:
+def _rbf(sq: np.ndarray, h: Hyperparams, out: np.ndarray) -> np.ndarray:
     """``signal_std^2 exp(-0.5 sq / length_scale^2)`` of squared distances
-    ``sq``, formed in ``out`` (which may be ``sq`` itself) or a new array."""
+    ``sq``, formed in and returned as ``out``, which may be ``sq`` itself."""
     K = np.multiply(sq, -0.5, out=out)
     np.divide(K, h.length_scale**2, out=K)
     np.exp(K, out=K)

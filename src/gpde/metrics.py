@@ -2,8 +2,10 @@
 
 AUC uses the rank (Mann-Whitney) formulation - the probability that a random
 positive outscores a random negative, ties counted half - which is exact and
-tie-aware.  F1 follows the rare-positive convention of returning 0 when the
-denominator 2TP + FP + FN is zero.
+tie-aware.  The average ranks come from ``np.unique``: they are
+half-integers, so their sum is exact.  A NaN score makes the AUC NaN.  F1
+follows the rare-positive convention of returning 0 when the denominator
+2TP + FP + FN is zero.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import InvalidInputError, UndefinedMetricError
 
@@ -62,7 +63,10 @@ def auc_roc(scores, true) -> float:
     n_neg = true.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC is undefined when only one class is present")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        return float("nan")
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]  # tied scores share their mean rank
     pos_rank_sum = float(np.sum(ranks[true == 1]))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -14,6 +14,7 @@ import pytest
 import gpde
 import gpde.bench as bench_mod
 import gpde.cli as cli
+import gpde.experts as experts_mod
 import gpde.gp_core as gp_core
 from gpde import (
     BenchmarkSpec,
@@ -22,9 +23,11 @@ from gpde import (
     Hyperparams,
     ShiftConfig,
     load_dataset,
+    load_shift_config,
     run_benchmark,
     save_dataset,
     save_expert_pool,
+    save_shift_config,
     synth_shift,
     write_result_table,
 )
@@ -67,10 +70,11 @@ class TestBenchmarkSpec:
 
 class TestScheduleValidation:
     def _forbid_training(self, monkeypatch):
+        """Patch the only bindings that train: ``train_source_experts``'s."""
         def boom(*a, **k):
             raise AssertionError("training ran before validation")
-        monkeypatch.setattr(bench_mod, "fit", boom)
-        monkeypatch.setattr(bench_mod, "train_expert", boom)
+        monkeypatch.setattr(experts_mod, "fit", boom)
+        monkeypatch.setattr(experts_mod, "train_expert", boom)
 
     def test_synthetic_pool_checked_before_training(self, monkeypatch):
         self._forbid_training(monkeypatch)
@@ -86,6 +90,14 @@ class TestScheduleValidation:
         spec = BenchmarkSpec(schedule=(16,), folds=4, metrics=("acc",))
         with pytest.raises(ConfigError, match="exceeds"):
             run_benchmark(spec, source_datasets=[src], target_pool=pool)
+
+    def test_multiclass_mode_checked_before_training(self, monkeypatch):
+        """The spec's mode is applied to the generator config before any fold
+        runs, so a config that cannot take it fails first."""
+        self._forbid_training(monkeypatch)
+        spec = BenchmarkSpec(schedule=(5,), folds=2, metrics=("acc",), mode="multiclass")
+        with pytest.raises(ConfigError, match="n_outputs >= 2"):
+            run_benchmark(spec, shift_cfg=replace(SMALL_CFG, n_outputs=1))
 
     def test_missing_sources_rejected(self):
         spec = BenchmarkSpec(methods=("gp_source",), schedule=(5,), metrics=("acc",))
@@ -174,6 +186,22 @@ class TestResultRows:
         a = run_benchmark(spec, shift_cfg=SMALL_CFG)
         b = run_benchmark(replace(spec, schedule=(4, 8)), shift_cfg=SMALL_CFG)
         assert a.config_hash != b.config_hash
+
+    def test_hash_records_the_mode_that_ran(self):
+        """Synthetic folds run the generator in the spec's mode, so a config
+        that names another mode gives the same rows and the same hash."""
+        spec = BenchmarkSpec(methods=("gp_target",), schedule=(4,), folds=1,
+                             metrics=("acc",), mode="multiclass", seed=7)
+        a = run_benchmark(spec, shift_cfg=SMALL_CFG)
+        b = run_benchmark(spec, shift_cfg=replace(SMALL_CFG, mode="multiclass"))
+        assert a.rows == b.rows
+        assert a.config_hash == b.config_hash == "a0caa83b5aaa"
+
+    def test_default_mode_hash_is_pinned(self):
+        """A multilabel spec on a multilabel config hashes as it always has."""
+        spec = BenchmarkSpec(methods=("gp_target",), schedule=(4,), folds=1,
+                             metrics=("acc",), seed=7)
+        assert run_benchmark(spec, shift_cfg=SMALL_CFG).config_hash == "74100b73d6d0"
 
     def test_summary_means_over_folds(self, gpde_runs):
         short, _ = gpde_runs
@@ -297,6 +325,16 @@ class TestCliPipeline:
                        "--seed", 4) == 0
         assert (tmp_path / "source_0.csv").read_text() == \
             (corpus / "source_0.csv").read_text()
+
+    def test_config_file_overrides(self, tmp_path):
+        """``synth --config F --seed 11`` keeps the file's values but the seed."""
+        cfg = ShiftConfig(n_source_domains=1, samples_per_domain=12, n_target_train=9,
+                          n_target_test=7, dims=2, shift_magnitude=1.25, seed=9)
+        save_shift_config(tmp_path / "cfg.txt", cfg)
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out", out, "--config", tmp_path / "cfg.txt", "--seed", 11) == 0
+        assert load_shift_config(out / "shift_config.txt") == replace(cfg, seed=11)
+        assert (out / "source_0.csv").read_text().startswith("# seed=11")
 
     def test_train_adapt_predict_weights(self, corpus, tmp_path):
         sources_json = tmp_path / "sources.json"

@@ -337,12 +337,6 @@ class TestShiftConfig:
         save_shift_config(path, cfg)
         assert load_shift_config(path) == cfg
 
-    def test_config_file_overrides(self, tmp_path):
-        cfg = ShiftConfig(seed=9)
-        path = tmp_path / "cfg.txt"
-        save_shift_config(path, cfg)
-        assert load_shift_config(path, seed=11).seed == 11
-
     def test_config_hash_stable_and_sensitive(self):
         a = config_hash(ShiftConfig(seed=1))
         b = config_hash(ShiftConfig(seed=1))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,15 @@ from gpde import (
     ShiftConfig,
     adapted_posterior,
     expert_weights,
+    fit,
     fuse,
     hard_labels,
+    pca_apply,
+    pca_fit,
     posterior,
     predict,
     synth_shift,
+    train_expert,
     train_gpde,
     train_source_experts,
     train_target_expert,
@@ -184,13 +190,48 @@ class TestGpdeModel:
         h = {id(e.hyper) for e in model.sources}
         assert len({(e.hyper.length_scale, e.hyper.signal_std) for e in model.sources}) == 1
 
-    def test_retarget_reuses_source_experts(self, rng):
+    def test_retarget_reuses_source_experts(self, rng, monkeypatch):
+        """Re-targeting is composition: only the new target is fit."""
         model = make_model(rng)
+        fitted, real = [], gp_core.fit_detailed
+        monkeypatch.setattr(gp_core, "fit_detailed", lambda datasets, **kwargs: (
+            fitted.append([d.domain_id for d in datasets]) or real(datasets, **kwargs)))
         new_target = random_dataset(rng, n=6, d=2, c=2, domain_id="t2")
-        remodel = train_gpde([], new_target, source_experts=model.sources)
+        remodel = GpdeModel(model.sources, train_target_expert(new_target))
+        assert fitted == [["t2"]]
         assert all(a is b for a, b in zip(model.sources, remodel.sources))
         assert remodel.target is not model.target
         assert remodel.target.data.n == 6
+
+
+class TestDomainShapes:
+    """Every place that combines domains checks one rule, with one message
+    that names both shapes."""
+
+    @pytest.fixture(params=[(3, 2), (2, 1)], ids=["D", "C"])
+    def mismatch(self, request, rng):
+        d, c = request.param
+        a = random_dataset(rng, n=5, d=2, c=2, domain_id="a")
+        b = random_dataset(rng, n=5, d=d, c=c, domain_id="b")
+        h = random_hyper(rng)
+        message = re.escape(f"domains must share D and C: 'a' has (D, C) = (2, 2), "
+                            f"'b' has ({d}, {c})")
+        return a, b, train_expert(a, h), train_expert(b, h), message
+
+    def test_adapted_expert(self, mismatch):
+        _, b, ea, _, message = mismatch
+        with pytest.raises(InvalidInputError, match=message):
+            AdaptedExpert(ea, b)
+
+    def test_model(self, mismatch):
+        _, _, ea, eb, message = mismatch
+        with pytest.raises(InvalidInputError, match=message):
+            GpdeModel([ea], eb)
+
+    def test_shared_fit(self, mismatch):
+        a, b, _, _, message = mismatch
+        with pytest.raises(InvalidInputError, match=message):
+            fit([a, b])
 
 
 class TestPredict:
@@ -287,6 +328,28 @@ class TestMethodConfigurations:
         ref = posterior(t, X_q)
         assert np.array_equal(fused.mean, ref.mean)
         assert np.array_equal(fused.labels, hard_labels(ref.mean, "multilabel"))
+
+
+class TestQueryShape:
+    """A query is one point or an M x D matrix; a scalar or a 3-d array is
+    an InvalidInputError, not an IndexError or a silent broadcast."""
+
+    CALLS = {
+        "posterior": lambda model, q: posterior(model.sources[0], q),
+        "predict": predict,
+        "expert_weights": expert_weights,
+        "adapted_posterior": lambda model, q: adapted_posterior(model.sources[0],
+                                                                model.target.data, q),
+        "pca_apply": lambda model, q: pca_apply(pca_fit(model.target.data.X), q),
+    }
+
+    @pytest.mark.parametrize("query", [np.float64(0.5), np.zeros((2, 2, 2))],
+                             ids=["scalar", "3-d"])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_rejected(self, rng, call, query):
+        model = make_model(rng)
+        with pytest.raises(InvalidInputError, match="2-d array"):
+            call(model, query)
 
 
 class TestExpertWeights:

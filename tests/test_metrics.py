@@ -102,6 +102,25 @@ class TestAuc:
         true[:2] = [1.0, -1.0]
         assert auc_roc(scores, true) + auc_roc(-scores, true) == pytest.approx(1.0, abs=1e-12)
 
+    def test_equals_scipy_average_ranks(self, rng):
+        """Ranks from ``np.unique`` give scipy ``rankdata``'s AUC bit for bit
+        on ties and signed zeros."""
+        from scipy.stats import rankdata
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            scores = np.round(rng.normal(size=n), int(rng.integers(0, 2)))
+            zeros = rng.random(n) < 0.2
+            scores[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            true = rng.choice([-1.0, 1.0], size=n)
+            true[:2] = [1.0, -1.0]
+            n_pos = int(np.sum(true == 1))
+            rank_sum = float(np.sum(rankdata(scores)[true == 1]))
+            assert auc_roc(scores, true) == \
+                (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc_roc([0.9, np.nan, 0.2, 0.1], [1, 1, -1, -1]))
+
 
 class TestMultilabelReport:
     def test_macro_is_arithmetic_mean(self, rng):

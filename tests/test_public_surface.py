@@ -3,7 +3,10 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,15 @@ def test_removed_members_are_gone():
     assert "source_fit_count" not in {f.name for f in dataclasses.fields(gpde.BenchmarkResult)}
     params = inspect.signature(gpde.multilabel_report).parameters
     assert "classes_true" not in params and "classes_pred" not in params
+    assert "source_experts" not in inspect.signature(gpde.train_gpde).parameters
+    kinds = {p.kind for p in inspect.signature(gpde.load_shift_config).parameters.values()}
+    assert inspect.Parameter.VAR_KEYWORD not in kinds
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gpde.__file__)), os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, gpde.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "False"
