@@ -41,7 +41,6 @@ from .experts import (
     train_gpde,
     train_source_experts,
     train_target_expert,
-    uniform_betas,
 )
 from .gp_core import (
     Dataset,
@@ -54,7 +53,7 @@ from .gp_core import (
     posterior,
     train_expert,
 )
-from .kernel import Hyperparams, kernel_matrix, squared_distances
+from .kernel import Hyperparams, kernel_matrix
 from .metrics import MetricReport, auc_roc, classification_rate, f1_score, multilabel_report
 from .model_io import load_bundle, load_experts, save_bundle, save_expert_pool
 
@@ -63,14 +62,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernel / core GP
-    "Hyperparams", "kernel_matrix", "squared_distances",
+    "Hyperparams", "kernel_matrix",
     "Dataset", "Expert", "PosteriorPrediction", "FitResult",
     "log_marginal_likelihood", "fit", "fit_detailed",
     "train_expert", "posterior",
     # adaptation
     "AdaptedExpert", "adapted_posterior",
     # experts / fusion
-    "GpdeModel", "FusedPrediction", "uniform_betas", "fuse", "hard_labels",
+    "GpdeModel", "FusedPrediction", "fuse", "hard_labels",
     "train_source_experts", "train_target_expert", "train_gpde",
     "predict", "expert_weights",
     # metrics

@@ -218,8 +218,9 @@ def run_benchmark(
     or on independently regenerated synthetic folds (``shift_cfg``, whose
     mode is set to ``spec.mode`` before it is hashed or run).
 
-    The schedule is validated against the available target training pool
-    before any training starts.
+    The schedule is validated against the available target training pool,
+    and file-mode folds against the target pool's rows, before any training
+    starts.
     """
     synthetic = shift_cfg is not None
     if synthetic == (source_datasets is not None or target_pool is not None):
@@ -238,6 +239,9 @@ def run_benchmark(
             raise InvalidInputError("file mode needs a target pool")
         if needs_sources and not source_datasets:
             raise ConfigError("requested methods need source datasets")
+        if not 2 <= spec.folds <= target_pool.n:  # each fold trains and tests on rows
+            raise ConfigError(f"file-mode folds must be from 2 to the target pool's "
+                              f"{target_pool.n} rows, got {spec.folds}")
         pool_size = target_pool.n - int(np.ceil(target_pool.n / spec.folds))
     if needs_target and max(spec.schedule) > pool_size:
         raise ConfigError(

@@ -100,7 +100,7 @@ def _cmd_predict(args) -> int:
 def _cmd_weights(args) -> int:
     model = load_bundle(args.model)
     X = load_features(args.data)
-    W = np.atleast_2d(expert_weights(model, X))
+    W = expert_weights(model, X)
     names = [e.data.domain_id for e in [*model.sources, model.target] if e is not None]
     with _out_stream(args.out) as fh:
         _write_csv(fh, names, ["%.8g"] * len(names), W.tolist())

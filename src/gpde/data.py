@@ -3,8 +3,11 @@
 CSV schema: one header row ``f0,...,f{D-1},y0,...,y{C-1}``, then one row per
 sample.  Labels must be -1/+1 (or 0/1, which are mapped to -1/+1 with a
 logged notice).  Lines starting with ``#`` are metadata comments and are
-skipped.  A file's fields are parsed by ``float()`` in one pass and checked as
-arrays.  Every CSV gpde writes goes through one writer, with ``\\n`` line ends.
+skipped.  One parse rule serves both loaders: a field is a number exactly when
+``float()`` takes it as it stands, so whitespace around a number is accepted
+and the ASCII separators \\x1c-\\x1f are not.  A file's fields are parsed in
+one pass and checked as arrays.  Every CSV gpde writes goes through one
+writer, with ``\\n`` line ends.
 
 The synthetic generator builds one smooth latent label function (a random
 Fourier-feature approximation of an RBF-kernel GP draw, thresholded at zero)
@@ -24,7 +27,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from time import perf_counter
-from typing import get_type_hints
+from typing import NoReturn, get_type_hints
 
 import numpy as np
 from scipy.linalg import expm
@@ -68,7 +71,8 @@ def _read_table(path, labeled: bool) -> tuple[np.ndarray, int]:
     A ``labeled`` read (a dataset) takes the whole f0..f{D-1},y0..y{C-1}
     table, any other only the leading f0..f{D-1} columns.  Every field is
     parsed in one flat ``float()`` pass and checked as an array; only if a
-    check fails does :func:`_walk_rows` raise the first bad row's error.
+    check fails does :func:`_walk_rows` find the first bad row and raise its
+    error.
     """
     t0 = perf_counter()
     try:
@@ -97,31 +101,28 @@ def _read_table(path, labeled: bool) -> tuple[np.ndarray, int]:
             values = np.array([float(v) for _, row in rows for v in row[:width]]).reshape(-1, width)
     if values is None or not (np.isfinite(values).all()
                               and np.isin(values[:, n_feat:], _ALLOWED_LABELS).all()):
-        values = _walk_rows(path, rows, n_feat, width, labeled)
+        _walk_rows(path, rows, n_feat, width, labeled)
     logger.debug("read %s: %d x %d in %.1f ms", path, *values.shape, 1e3 * (perf_counter() - t0))
     return values, n_feat
 
 
-def _walk_rows(path, rows, n_feat: int, width: int, labeled: bool) -> np.ndarray:
-    """:func:`_read_table`'s rows checked one at a time, raising the first bad
-    row's :class:`DataLoadError`.  A feature read strips each field first, so
-    it also takes the separators \\x1c-\\x1f around a number, which ``float()``
-    alone refuses; then no row is bad and the parsed rows are returned."""
-    parsed = []
+def _walk_rows(path, rows, n_feat: int, width: int, labeled: bool) -> NoReturn:
+    """Raise the :class:`DataLoadError` of the first of :func:`_read_table`'s
+    rows that fails one of its checks, made one row at a time; the read
+    calls it only after a check has failed."""
     for lineno, row in rows:
         if len(row) != width if labeled else len(row) < width:
             expected = width if labeled else f">= {width}"
             raise DataLoadError(f"{path}: row {lineno} has {len(row)} fields, expected {expected}")
         try:
-            parsed.append([float(v if labeled else v.strip()) for v in row[:width]])
+            values = [float(v) for v in row[:width]]
         except ValueError as exc:
             raise DataLoadError(f"{path}: row {lineno}: {exc}") from None
-        if not np.all(np.isfinite(parsed[-1])):
+        if not np.all(np.isfinite(values)):
             raise DataLoadError(f"{path}: row {lineno} contains NaN/Inf")
-        bad = [v for v in parsed[-1][n_feat:] if v not in _ALLOWED_LABELS]
+        bad = [v for v in values[n_feat:] if v not in _ALLOWED_LABELS]
         if bad:
             raise DataLoadError(f"{path}: row {lineno} has label {bad[0]!r} outside {{-1, 0, 1}}")
-    return np.array(parsed)
 
 
 def load_dataset(path, domain_id: str | None = None) -> Dataset:

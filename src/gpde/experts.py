@@ -32,7 +32,6 @@ __all__ = [
     "VARIANCE_FLOOR",
     "GpdeModel",
     "FusedPrediction",
-    "uniform_betas",
     "train_source_experts",
     "train_target_expert",
     "train_gpde",
@@ -49,13 +48,6 @@ MODES = ("multilabel", "multiclass")
 
 # Largest accepted |sum(betas) - 1|.
 BETA_SUM_TOL = 1e-9
-
-
-def uniform_betas(n_experts: int) -> np.ndarray:
-    """Equal expert weights 1/n, the default combination rule."""
-    if n_experts < 1:
-        raise InvalidInputError("need at least one expert")
-    return np.full(n_experts, 1.0 / n_experts)
 
 
 def _check_betas(betas, n_experts: int) -> np.ndarray:
@@ -84,8 +76,9 @@ class GpdeModel:
 
     def __post_init__(self):
         _check_domains([e.data for e in [*self.sources, self.target] if e is not None])
-        betas = uniform_betas(self.n_experts) if self.betas is None else self.betas
-        object.__setattr__(self, "betas", _check_betas(betas, self.n_experts))
+        n = self.n_experts
+        betas = np.full(n, 1.0 / n) if self.betas is None else self.betas
+        object.__setattr__(self, "betas", _check_betas(betas, n))
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
         for e in self.sources[1:]:
@@ -126,23 +119,19 @@ def train_target_expert(target_dataset: Dataset) -> Expert:
     return train_source_experts([target_dataset])[0]
 
 
-def train_gpde(
-    source_datasets: list[Dataset],
-    target_dataset: Dataset | None,
-    betas: np.ndarray | None = None,
-    mode: str = "multilabel",
-) -> GpdeModel:
-    """Train the full expert pool.
+def train_gpde(source_datasets: list[Dataset], target_dataset: Dataset | None) -> GpdeModel:
+    """Train the full expert pool, with uniform betas and multilabel labels.
 
-    ``target_dataset=None`` builds a source-only pool.  Weights default to
-    uniform over the experts present.  Source experts do not depend on the
-    target, so a trained pool is re-pointed at a new target domain, with no
-    source refit, by composition:
+    ``target_dataset=None`` builds a source-only pool.  Other weights or the
+    multiclass rule are composed from the trained experts, as
+    ``GpdeModel(model.sources, model.target, betas, mode)``.  Source experts
+    do not depend on the target, so a trained pool is re-pointed at a new
+    target domain, with no source refit, the same way:
     ``GpdeModel(model.sources, train_target_expert(new_target))``.
     """
     sources = train_source_experts(source_datasets) if source_datasets else []
     target = train_target_expert(target_dataset) if target_dataset is not None else None
-    return GpdeModel(sources=sources, target=target, betas=betas, mode=mode)
+    return GpdeModel(sources=sources, target=target)
 
 
 def fuse(
@@ -240,12 +229,11 @@ def expert_weights(model: GpdeModel, x_star) -> np.ndarray:
     to sum to 1 (sources first, target last), from :func:`predict`'s
     per-expert variances.
 
-    Accepts a single point (returns shape ``(n_experts,)``) or a batch
-    (returns ``(M_test, n_experts)``).
+    Returns shape ``(M_test, n_experts)`` for any query, one row per point,
+    as :func:`predict` returns one row of means per point.
     """
     variances = predict(model, x_star).per_expert_variances
     precisions = np.stack(
         [b / np.maximum(v, VARIANCE_FLOOR) for b, v in zip(model.betas, variances)], axis=1
     )
-    weights = precisions / precisions.sum(axis=1, keepdims=True)
-    return weights[0] if np.ndim(x_star) == 1 else weights
+    return precisions / precisions.sum(axis=1, keepdims=True)

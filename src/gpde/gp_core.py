@@ -329,12 +329,12 @@ def _check_domains(datasets: list[Dataset]) -> None:
             )
 
 
-def fit_detailed(datasets: list[Dataset], init: Hyperparams | None = None) -> FitResult:
+def fit_detailed(datasets: list[Dataset]) -> FitResult:
     """Maximize the summed log-marginal likelihood of ``datasets`` over one
     shared hyperparameter triple.
 
-    L-BFGS-B in log-space, run from ``init`` (default: a scale-matching
-    start) and from the same point with its length-scale times
+    L-BFGS-B in log-space, run from a scale-matching start (:func:`_default_init`)
+    and from the same point with its length-scale times
     ``SECOND_START_ELL``; the higher optimum wins.  The second start keeps
     the fit off the ``signal_std -> 0`` plateau that a single start can slide
     onto.  The gradient takes ``(K + noise^2 I)^-1`` from ``dpotri``, half an
@@ -356,13 +356,13 @@ def fit_detailed(datasets: list[Dataset], init: Hyperparams | None = None) -> Fi
     """
     _check_domains(datasets)
     with blas_threads(1), flush_subnormals():
-        return _fit(datasets, init)
+        return _fit(datasets)
 
 
-def _fit(datasets: list[Dataset], init: Hyperparams | None) -> FitResult:
+def _fit(datasets: list[Dataset]) -> FitResult:
     """:func:`fit_detailed` on validated inputs."""
     t0 = time.perf_counter()
-    h0 = init or _default_init(datasets)
+    h0 = _default_init(datasets)
     # two buffers, each the size of the largest domain's K; every domain's
     # K and L are C-ordered views of their leading entries
     workspace = np.empty((2, max(d.n for d in datasets) ** 2))
@@ -465,16 +465,18 @@ def _newton_finish(objective, z: np.ndarray, value: float, grad: np.ndarray):
     return z, value, grad, n_eval
 
 
-def fit(datasets: list[Dataset], init: Hyperparams | None = None) -> Hyperparams:
+def fit(datasets: list[Dataset]) -> Hyperparams:
     """Like :func:`fit_detailed` but returns only the hyperparameters,
-    warning when the fit stopped before the gradient tolerance."""
-    result = fit_detailed(datasets, init=init)
+    warning when the fit stopped before the gradient tolerance.  The warning
+    holds no wall time, so identical fits warn with identical text and
+    Python reports them once."""
+    result = fit_detailed(datasets)
     if not result.converged:
         warnings.warn(
             f"fit of domains {[d.domain_id for d in datasets]} "
             f"(N={sum(d.n for d in datasets)}) stopped after "
-            f"{result.n_iter} iterations and {result.n_eval} evaluations in "
-            f"{result.seconds:.3g} s without reaching the gradient tolerance "
+            f"{result.n_iter} iterations and {result.n_eval} evaluations "
+            f"without reaching the gradient tolerance "
             f"({result.message}); returning the best iterate of start {result.start} "
             f"(objective {result.objective:.6g}, max |gradient| {result.grad_max:.3g})",
             RuntimeWarning,

@@ -20,7 +20,6 @@ from .exceptions import InvalidInputError
 __all__ = [
     "Hyperparams",
     "kernel_matrix",
-    "squared_distances",
 ]
 
 

@@ -4,12 +4,20 @@ import json
 import numpy as np
 import pytest
 
-from gpde import Dataset, Hyperparams, ShiftConfig, pca_apply, pca_fit, synth_shift
+from gpde import Dataset, Hyperparams, ShiftConfig, pca_apply, pca_fit, synth_shift, train_gpde
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def serve_model():
+    """The benchmark's serve-sized model: 5 x 120 sources, 100 target rows,
+    and 300 test rows."""
+    sources, pool, test = synth_shift(ShiftConfig(n_target_test=300))
+    return train_gpde(sources, Dataset(pool.X[:100], pool.Y[:100], "target")), test.X
 
 
 def random_dataset(rng, n=6, d=2, c=1, domain_id="dom"):

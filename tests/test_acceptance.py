@@ -37,7 +37,6 @@ from gpde import (
     synth_shift,
     train_expert,
     train_source_experts,
-    uniform_betas,
 )
 
 
@@ -199,7 +198,7 @@ def test_fusion_identities(capsys):
         rng2 = np.random.default_rng(105)
         data = Dataset(rng2.normal(size=(6, 2)), rng2.choice([-1.0, 1.0], (6, 1)), "t")
         expert = train_expert(data, Hyperparams(1.0, 1.0, 0.2))
-        model = GpdeModel(sources=[], target=expert, betas=uniform_betas(1))
+        model = GpdeModel(sources=[], target=expert)
         Xs = rng2.normal(size=(5, 2))
         direct = posterior(expert, Xs)
         fused = predict(model, Xs)
@@ -319,8 +318,7 @@ def test_target_expert_weight_grows_with_target_data(capsys):
             experts = train_source_experts(sources)
             for n_t, sink in ((10, w10), (50, w50)):
                 target = Dataset(pool.X[:n_t], pool.Y[:n_t], "target_train")
-                model = GpdeModel(experts, train_expert(target, fit([target])),
-                                  uniform_betas(len(experts) + 1))
+                model = GpdeModel(experts, train_expert(target, fit([target])))
                 W = expert_weights(model, test.X)
                 sink.append(float(W[:, -1].mean()))
         mean10, mean50 = float(np.mean(w10)), float(np.mean(w50))

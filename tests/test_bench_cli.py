@@ -91,6 +91,18 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="exceeds"):
             run_benchmark(spec, source_datasets=[src], target_pool=pool)
 
+    @pytest.mark.parametrize("folds", [1, 21])
+    def test_file_folds_checked_before_training(self, monkeypatch, rng, folds):
+        """File folds partition the target pool: each needs a training and a
+        test row, so 2 <= folds <= its 20 rows."""
+        self._forbid_training(monkeypatch)
+        pool = Dataset(rng.normal(size=(20, 2)), rng.choice([-1.0, 1.0], size=(20, 1)), "t")
+        src = Dataset(rng.normal(size=(10, 2)), rng.choice([-1.0, 1.0], size=(10, 1)), "s")
+        spec = BenchmarkSpec(methods=("gp_source",), schedule=(1,), folds=folds,
+                             metrics=("acc",))
+        with pytest.raises(ConfigError, match=f"target pool's 20 rows, got {folds}$"):
+            run_benchmark(spec, source_datasets=[src], target_pool=pool)
+
     def test_multiclass_mode_checked_before_training(self, monkeypatch):
         """The spec's mode is applied to the generator config before any fold
         runs, so a config that cannot take it fails first."""
@@ -474,6 +486,15 @@ class TestCliErrors:
                        "--nt", "30", "--folds", 2, "--methods", "gp_target",
                        "--metrics", "acc")
         assert code == 2
+
+    @pytest.mark.parametrize("folds", [1, 26])
+    def test_bench_file_fold_count_is_config_error(self, corpus, capsys, folds):
+        code = run_cli("bench", "--source", corpus / "source_0.csv",
+                       "--target", corpus / "target_train.csv", "--nt", "1",
+                       "--methods", "gp_source", "--folds", folds, "--metrics", "acc")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: file-mode folds must be from 2 to the target pool's 25 rows, got {folds}\n")
 
     @pytest.mark.parametrize("nt", ["10,abc", "5.5"])
     def test_bench_schedule_not_integers_is_config_error(self, capsys, nt):

@@ -7,8 +7,7 @@ import pytest
 import gpde.experts as experts
 import gpde.gp_core as gp_core
 from gpde import (Dataset, Hyperparams, InvalidInputError, ShiftConfig, expert_weights,
-                  fit_detailed, kernel_matrix, pca_apply, pca_fit, predict, synth_shift,
-                  train_gpde)
+                  fit_detailed, kernel_matrix, pca_apply, pca_fit, predict, synth_shift)
 from gpde import _blas
 
 from conftest import protocol_pooled_source
@@ -33,14 +32,6 @@ def two_threads():
     yield
     for (_, _, setter), count in zip(LIBS, before):
         setter(count)
-
-
-@pytest.fixture(scope="module")
-def serve_model():
-    """The benchmark's serve-sized model: 5 x 120 sources, 100 target rows."""
-    sources, pool, test = synth_shift(ShiftConfig(n_target_test=300))
-    target = Dataset(pool.X[:100], pool.Y[:100], "target")
-    return train_gpde(sources, target), test.X
 
 
 @needs_openblas
@@ -183,7 +174,9 @@ def test_log_marginal_likelihood_is_the_fit_objective(two_threads, monkeypatch):
 
     monkeypatch.setattr(gp_core, "_lml", probe)
     monkeypatch.setattr(gp_core, "MAX_ITER", 1)
-    fit_detailed([pooled], init=Hyperparams(length_scale=0.21, signal_std=0.92, noise_std=0.39))
+    init = Hyperparams(length_scale=0.21, signal_std=0.92, noise_std=0.39)
+    monkeypatch.setattr(gp_core, "_default_init", lambda datasets: init)
+    fit_detailed([pooled])
     h, (value, grad) = seen[0]  # the first evaluation is at init
     assert counts() == [2] * len(LIBS)
     public_value, public_grad = gp_core.log_marginal_likelihood(pooled, h)
@@ -222,8 +215,9 @@ def test_fit_restores_caller_flush_bits(caller_bits, bits, serve_model, monkeypa
     assert inside and set(inside) == {(_blas.FLUSH_BITS, 0.0)}
     assert flush_bits() == bits
     overflowing = Hyperparams(length_scale=1.0, signal_std=1e200, noise_std=1.0)
+    monkeypatch.setattr(gp_core, "_default_init", lambda datasets: overflowing)
     with pytest.raises(InvalidInputError, match="non-finite at the initial"):
-        fit_detailed([target], init=overflowing)
+        fit_detailed([target])
     assert flush_bits() == bits
     # under DAZ a subnormal operand compares as zero, so test against 0.0
     assert (sys.float_info.min * 0.5 != 0.0) == (bits == 0)

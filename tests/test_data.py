@@ -126,7 +126,7 @@ def _deep_file(path, bad_row: str):
 # fault: (bad row, load_dataset's message, load_features' message or None if it loads)
 DEEP_FAULTS = {
     "unparsable": ("0.1, abc,0.3,1,-1", "row {line}: could not convert string to float: ' abc'",
-                   "row {line}: could not convert string to float: 'abc'"),
+                   "row {line}: could not convert string to float: ' abc'"),
     "nan": ("0.1,nan,0.3,1,-1", "row {line} contains NaN/Inf", "row {line} contains NaN/Inf"),
     "inf": ("0.1,0.2,-inf,1,-1", "row {line} contains NaN/Inf", "row {line} contains NaN/Inf"),
     "label": ("0.1,0.2,0.3,1,0.5", "row {line} has label 0.5 outside {{-1, 0, 1}}", None),
@@ -264,14 +264,16 @@ class TestCsvOracles:
         assert data.X.flags.c_contiguous and data.Y.flags.c_contiguous
         assert np.array_equal(load_features(path).view(np.int64), X.view(np.int64))
 
-    def test_features_strip_separator_characters(self, tmp_path):
-        """``load_features`` strips each field with ``str.strip``, which also
-        drops \\x1c-\\x1f; ``load_dataset`` parses fields as they are."""
+    def test_features_refuse_separator_characters(self, tmp_path):
+        """Both loaders take a field as ``float()`` takes it, so a number
+        padded with a separator \\x1c-\\x1f, which ``str.strip`` would drop,
+        is refused by ``load_features`` as by ``load_dataset``."""
         path = tmp_path / "s.csv"
-        path.write_text("f0,f1,y0\n0.5,\x1c1.5\x1f,1\n2.5,3.5,-1\n")
-        assert np.array_equal(load_features(path), [[0.5, 1.5], [2.5, 3.5]])
-        with pytest.raises(DataLoadError, match="row 2: could not convert string to float"):
-            load_dataset(path)
+        for sep in "\x1c\x1d\x1e\x1f":
+            path.write_text(f"f0,f1,y0\n0.5,{sep}1.5{sep},1\n2.5,3.5,-1\n")
+            for load in (load_features, load_dataset):
+                with pytest.raises(DataLoadError, match="row 2: could not convert string to float"):
+                    load(path)
 
 
 class TestPca:

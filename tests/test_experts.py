@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gpde import (
     Dataset,
     GpdeModel,
     InvalidInputError,
-    ShiftConfig,
     adapted_posterior,
     expert_weights,
     fit,
@@ -23,12 +23,10 @@ from gpde import (
     pca_fit,
     posterior,
     predict,
-    synth_shift,
     train_expert,
     train_gpde,
     train_source_experts,
     train_target_expert,
-    uniform_betas,
 )
 from gpde._blas import blas_threads
 from gpde.experts import BETA_SUM_TOL, VARIANCE_FLOOR
@@ -39,18 +37,25 @@ from conftest import random_dataset, random_hyper
 def make_model(rng, n_sources=2, c=2, with_target=True, n_t=4):
     sources = [random_dataset(rng, n=6, d=2, c=c, domain_id=f"s{k}") for k in range(n_sources)]
     target = random_dataset(rng, n=n_t, d=2, c=c, domain_id="t") if with_target else None
-    return train_gpde(sources, target, mode="multilabel")
+    return train_gpde(sources, target)
+
+
+def uniform(m: int) -> np.ndarray:
+    """The betas a model of ``m`` experts takes by default."""
+    return np.full(m, 1.0 / m)
 
 
 class TestUniformBetas:
-    def test_values(self):
-        b = uniform_betas(4)
+    """A model without given betas weighs its experts equally."""
+
+    def test_values(self, rng):
+        b = make_model(rng, n_sources=3).betas
         assert np.allclose(b, 0.25)
         assert b.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
-            uniform_betas(0)
+            GpdeModel(sources=[], target=None)
 
 
 class TestFuse:
@@ -59,7 +64,7 @@ class TestFuse:
             m = int(rng.integers(1, 6))
             means = [rng.normal(size=(4, 3)) for _ in range(m)]
             variances = [rng.uniform(0.01, 2.0, size=4) for _ in range(m)]
-            betas = uniform_betas(m)
+            betas = uniform(m)
             mean, var = fuse(means, variances, betas)
             expected = sum(b / v for b, v in zip(betas, variances))
             assert np.allclose(1.0 / var, expected, rtol=1e-12)
@@ -69,7 +74,7 @@ class TestFuse:
             m = int(rng.integers(2, 6))
             means = [rng.normal(size=(4, 2)) for _ in range(m)]
             variances = [rng.uniform(0.01, 2.0, size=4) for _ in range(m)]
-            mean, _ = fuse(means, variances, uniform_betas(m))
+            mean, _ = fuse(means, variances, uniform(m))
             stacked = np.stack(means)
             assert np.all(mean >= stacked.min(0) - 1e-12)
             assert np.all(mean <= stacked.max(0) + 1e-12)
@@ -77,7 +82,7 @@ class TestFuse:
     def test_single_expert_exact(self, rng):
         means = [rng.normal(size=(5, 4))]
         variances = [rng.uniform(0.01, 2.0, size=5)]
-        mean, var = fuse(means, variances, uniform_betas(1))
+        mean, var = fuse(means, variances, uniform(1))
         assert np.array_equal(mean, means[0])
         assert np.array_equal(var, variances[0])
 
@@ -91,14 +96,14 @@ class TestFuse:
     def test_variance_floor_applied(self):
         means = [np.array([[1.0]]), np.array([[-1.0]])]
         variances = [np.array([0.0]), np.array([1e-30])]
-        mean, var = fuse(means, variances, uniform_betas(2))
+        mean, var = fuse(means, variances, uniform(2))
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
         assert np.all(var > 0)
 
     def test_confident_expert_dominates(self):
         means = [np.array([[1.0]]), np.array([[-1.0]])]
         variances = [np.array([1e-4]), np.array([1.0])]
-        mean, _ = fuse(means, variances, uniform_betas(2))
+        mean, _ = fuse(means, variances, uniform(2))
         assert mean[0, 0] > 0.99
 
     @given(st.integers(2, 5), st.integers(1, 4))
@@ -107,7 +112,7 @@ class TestFuse:
         rng = np.random.default_rng(m * 10 + c)
         mu = rng.normal(size=(4, c))
         v = rng.uniform(0.1, 2.0, size=4)
-        mean, var = fuse([mu] * m, [v] * m, uniform_betas(m))
+        mean, var = fuse([mu] * m, [v] * m, uniform(m))
         assert np.allclose(mean, mu, rtol=1e-10)
         assert np.allclose(var, v, rtol=1e-10)
 
@@ -115,11 +120,11 @@ class TestFuse:
         means = [rng.normal(size=(3, 2)) for _ in range(2)]
         variances = [rng.uniform(0.1, 1, size=3) for _ in range(2)]
         with pytest.raises(InvalidInputError):
-            fuse([], [], uniform_betas(1))
+            fuse([], [], uniform(1))
         with pytest.raises(InvalidInputError):
-            fuse(means, variances[:1], uniform_betas(2))
+            fuse(means, variances[:1], uniform(2))
         with pytest.raises(InvalidInputError):
-            fuse(means, variances, uniform_betas(3))
+            fuse(means, variances, uniform(3))
         with pytest.raises(InvalidInputError):
             fuse(means, variances, np.array([0.9, 0.9]))
 
@@ -172,7 +177,7 @@ class TestGpdeModel:
 
     def test_needs_at_least_one_expert(self):
         with pytest.raises(InvalidInputError):
-            GpdeModel(sources=[], target=None, betas=uniform_betas(1), mode="multilabel")
+            GpdeModel(sources=[], target=None, betas=uniform(1), mode="multilabel")
 
     def test_source_experts_share_hyperparams(self, rng):
         a = random_dataset(rng, n=5, d=2, domain_id="a")
@@ -181,7 +186,7 @@ class TestGpdeModel:
         ea = train_expert(a, random_hyper(rng))
         eb = train_expert(b, random_hyper(rng))
         with pytest.raises(InvalidInputError):
-            GpdeModel(sources=[ea, eb], target=None, betas=uniform_betas(2), mode="multilabel")
+            GpdeModel(sources=[ea, eb], target=None, betas=uniform(2), mode="multilabel")
 
     def test_train_gpde_shapes(self, rng):
         model = make_model(rng, n_sources=3)
@@ -261,7 +266,7 @@ class TestPredict:
     def test_multiclass_labels_one_hot(self, rng):
         sources = [random_dataset(rng, n=6, d=2, c=3, domain_id="s")]
         target = random_dataset(rng, n=4, d=2, c=3, domain_id="t")
-        model = train_gpde(sources, target, mode="multiclass")
+        model = replace(train_gpde(sources, target), mode="multiclass")
         fused = predict(model, rng.normal(size=(6, 2)))
         assert np.all((fused.labels == 1.0).sum(axis=1) == 1)
 
@@ -269,13 +274,6 @@ class TestPredict:
         model = make_model(rng)
         with pytest.raises(InvalidInputError):
             predict(model, rng.normal(size=(3, 5)))
-
-
-@pytest.fixture(scope="module")
-def serve_model():
-    """The benchmark's serve-sized model: 5 x 120 sources, 100 target rows."""
-    sources, pool, test = synth_shift(ShiftConfig(n_target_test=300))
-    return train_gpde(sources, Dataset(pool.X[:100], pool.Y[:100], "target")), test.X
 
 
 class TestSharedTargetBlocks:
@@ -360,17 +358,20 @@ class TestExpertWeights:
         assert np.all(W >= 0.0)
         assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_single_point_returns_vector(self, rng):
+    def test_single_point_returns_one_row(self, rng):
+        """A 1-d query is one point, and gets one row, as in ``predict``."""
         model = make_model(rng)
-        w = expert_weights(model, rng.normal(size=2))
-        assert w.shape == (3,)
+        x = rng.normal(size=2)
+        w = expert_weights(model, x)
+        assert w.shape == (1, 3) == (predict(model, x).mean.shape[0], model.n_experts)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(w, expert_weights(model, x[None, :]))
 
     def test_target_weight_large_near_target_data(self, rng):
         sources = [Dataset(np.full((5, 1), 10.0) + rng.normal(size=(5, 1)),
                            rng.choice([-1.0, 1.0], size=(5, 1)), "s")]
         target = Dataset(np.zeros((5, 1)) + 0.1 * rng.normal(size=(5, 1)),
                          rng.choice([-1.0, 1.0], size=(5, 1)), "t")
-        model = train_gpde(sources, target, mode="multilabel")
+        model = train_gpde(sources, target)
         w = expert_weights(model, np.zeros(1))
-        assert w[-1] > 0.5
+        assert w[0, -1] > 0.5

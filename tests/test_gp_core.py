@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -21,13 +22,13 @@ from gpde import (
     pca_fit,
     posterior,
     run_benchmark,
-    squared_distances,
     synth_shift,
     train_expert,
 )
 import gpde.gp_core as gp_core
 from gpde import _blas
 from gpde.gp_core import _default_init, cholesky_with_jitter
+from gpde.kernel import squared_distances
 
 from conftest import protocol_pooled_source, random_dataset, random_hyper
 
@@ -153,7 +154,8 @@ class TestLogMarginalLikelihood:
 
         monkeypatch.setattr(gp_core, "_lml", probe)
         monkeypatch.setattr(gp_core, "MAX_ITER", 1)
-        fit_detailed([pooled], init=h)  # its first evaluation is at init
+        monkeypatch.setattr(gp_core, "_default_init", lambda datasets, h=h: h)
+        fit_detailed([pooled])  # its first evaluation is at the start h
         h, (in_fit_value, in_fit_grad) = seen[0]  # h after its round trip through log-space
         flushed = log_marginal_likelihood(pooled, h)
         assert flushed[0] == in_fit_value and np.array_equal(flushed[1], in_fit_grad)
@@ -163,11 +165,12 @@ class TestLogMarginalLikelihood:
 
 
 class TestFit:
-    def test_objective_never_below_init(self, rng):
+    def test_objective_never_below_init(self, rng, monkeypatch):
         for _ in range(5):
             data = random_dataset(rng, n=12, d=2, c=1)
             init = random_hyper(rng)
-            res = fit_detailed([data], init=init)
+            monkeypatch.setattr(gp_core, "_default_init", lambda datasets, h=init: h)
+            res = fit_detailed([data])
             f0, _ = log_marginal_likelihood(data, init)
             assert res.objective >= f0 - 1e-12
 
@@ -231,7 +234,13 @@ class TestFit:
             fit([data])
         text = str(warned[0].message)
         assert f"max |gradient| {record.grad_max:.3g}" in text
-        assert f"start {record.start}" in text and " s without" in text
+        assert f"start {record.start}" in text and "evaluations without" in text
+        assert not re.search(r"\d s\b", text)  # no wall time, which differs run to run
+        with warnings.catch_warnings(record=True) as again:
+            warnings.simplefilter("always")
+            fit([data])
+            fit([data])
+        assert [str(w.message) for w in again] == [text, text]
 
     def test_optimizer_converged_fit_does_not_warn(self):
         # Fold 0's 10-row target fit on the benchmark's protocol corpus

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gpde import Hyperparams, InvalidInputError, kernel_matrix, squared_distances
+from gpde import Hyperparams, InvalidInputError, kernel_matrix
+from gpde.kernel import squared_distances
 
 from conftest import random_hyper
 

@@ -19,7 +19,6 @@ from gpde import (
     save_expert_pool,
     train_expert,
     train_gpde,
-    uniform_betas,
 )
 from gpde.cli import main
 from conftest import random_dataset, with_config_hash
@@ -73,7 +72,7 @@ class TestExpertPool:
 
     def test_wrong_kind_rejected(self, pool_dir):
         sources = load_experts(pool_dir / "sources.json")
-        save_bundle(pool_dir / "bundle.json", GpdeModel(sources, None, uniform_betas(2)))
+        save_bundle(pool_dir / "bundle.json", GpdeModel(sources, None, [0.5, 0.5]))
         with pytest.raises(DataLoadError, match="kind"):
             load_experts(pool_dir / "bundle.json")
         with pytest.raises(DataLoadError, match="kind"):
@@ -132,8 +131,8 @@ def _assert_same_model(a: GpdeModel, b: GpdeModel, Xs):
 class TestBundle:
     def test_round_trip_predictions_identical(self, tmp_path, rng):
         sources = [_one_hot(rng, 10, 3, f"source_{k}") for k in range(2)]
-        model = train_gpde(sources, _one_hot(rng, 6, 3, "target"),
-                           betas=[0.5, 0.2, 0.3], mode="multiclass")
+        trained = train_gpde(sources, _one_hot(rng, 6, 3, "target"))
+        model = GpdeModel(trained.sources, trained.target, [0.5, 0.2, 0.3], "multiclass")
         save_bundle(tmp_path / "bundle.json", model, seed=7)
         _assert_same_model(model, load_bundle(tmp_path / "bundle.json"),
                            rng.normal(size=(6, 2)))
@@ -144,15 +143,15 @@ class TestBundle:
             assert main(["adapt", "--source", str(pool_dir / "sources.json"),
                          "--target", str(pool_dir / "targetpool.json"),
                          "--out", str(pool_dir / "bundle.json")]) == 0
-        assert np.array_equal(load_bundle(pool_dir / "bundle.json").betas, uniform_betas(3))
+        assert np.array_equal(load_bundle(pool_dir / "bundle.json").betas, np.full(3, 1.0 / 3))
 
     def test_betas_default_to_uniform(self, pool_dir):
         sources = load_experts(pool_dir / "sources.json")
         (target,) = load_experts(pool_dir / "targetpool.json")
         implicit = GpdeModel(sources, target)
-        assert np.array_equal(implicit.betas, uniform_betas(3))
+        assert np.array_equal(implicit.betas, np.full(3, 1.0 / 3))
         save_bundle(pool_dir / "implicit.json", implicit, seed=0)
-        save_bundle(pool_dir / "explicit.json", GpdeModel(sources, target, uniform_betas(3)),
+        save_bundle(pool_dir / "explicit.json", GpdeModel(sources, target, np.full(3, 1.0 / 3)),
                     seed=0)
         assert (pool_dir / "implicit.json").read_bytes() == \
             (pool_dir / "explicit.json").read_bytes()
@@ -200,7 +199,7 @@ class TestExactHyperparameters:
         sources = [train_expert(random_dataset(rng, n=12, d=2, c=2, domain_id=f"s{k}"), h)
                    for k in range(2)]
         target = train_expert(random_dataset(rng, n=8, d=2, c=2, domain_id="t"), h)
-        model = GpdeModel(sources, target, uniform_betas(3))
+        model = GpdeModel(sources, target, np.full(3, 1.0 / 3))
         save_bundle(tmp_path / "bundle.json", model)
         loaded = load_bundle(tmp_path / "bundle.json")
         _assert_same_model(model, loaded, rng.normal(size=(20, 2)))

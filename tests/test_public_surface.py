@@ -1,12 +1,15 @@
-"""The public surface: every exported name resolves, and removed names stay gone."""
+"""The public surface: every exported name resolves, every exported function
+is documented in the README, and removed names stay gone."""
 
 import dataclasses
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +18,10 @@ import gpde
 MODULES = ["gpde"] + [m.name for m in pkgutil.iter_modules(gpde.__path__, "gpde.")]
 
 REMOVED = {
-    "gpde": ["kernel_eval", "retarget", "load_expert_pool", "default_init", "latent_label_fn"],
+    "gpde": ["kernel_eval", "retarget", "load_expert_pool", "default_init", "latent_label_fn",
+             "uniform_betas", "squared_distances"],
     "gpde.kernel": ["kernel_eval"],
-    "gpde.experts": ["retarget"],
+    "gpde.experts": ["retarget", "uniform_betas"],
     "gpde.model_io": ["load_expert_pool"],
     "gpde.gp_core": ["default_init", "_lml_value", "_lml_grad"],
     "gpde.data": ["latent_label_fn"],
@@ -31,6 +35,13 @@ def test_exported_names_resolve(module):
     exported = getattr(mod, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     assert [n for n in exported if not hasattr(mod, n)] == []
+
+
+def test_exported_functions_are_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    functions = [n for n in gpde.__all__ if inspect.isfunction(getattr(gpde, n))]
+    assert functions
+    assert [n for n in functions if not re.search(rf"`{n}`", readme)] == []
 
 
 @pytest.mark.parametrize("module", REMOVED)
@@ -49,7 +60,10 @@ def test_removed_members_are_gone():
     assert "source_fit_count" not in {f.name for f in dataclasses.fields(gpde.BenchmarkResult)}
     params = inspect.signature(gpde.multilabel_report).parameters
     assert "classes_true" not in params and "classes_pred" not in params
-    assert "source_experts" not in inspect.signature(gpde.train_gpde).parameters
+    assert list(inspect.signature(gpde.train_gpde).parameters) == ["source_datasets",
+                                                                     "target_dataset"]
+    assert list(inspect.signature(gpde.fit).parameters) == ["datasets"]
+    assert list(inspect.signature(gpde.fit_detailed).parameters) == ["datasets"]
     kinds = {p.kind for p in inspect.signature(gpde.load_shift_config).parameters.values()}
     assert inspect.Parameter.VAR_KEYWORD not in kinds
 
