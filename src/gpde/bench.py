@@ -1,7 +1,7 @@
 """Benchmark protocol: train on sources, adapt to a growing target set, score.
 
-The source models are trained once per set of sources: once per fold for
-synthetic folds, which regenerate their sources, and once per run for
+The source models are trained once per set of sources: inside the fold loop
+for synthetic folds, which regenerate their sources, and once before it for
 file-mode folds, which share them.  The target training set is then grown
 through the requested cardinality schedule and every method is scored on the
 held-out target test set.  Every method is a :class:`GpdeModel`
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .data import ShiftConfig, _write_csv, config_hash, pca_apply, pca_fit, synt
 from .exceptions import ConfigError, InvalidInputError
 from .experts import (MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts,
                       train_target_expert)
-from .gp_core import Dataset, Expert
+from .gp_core import Dataset
 from .metrics import classification_rate, multilabel_report
 
 __all__ = ["METHODS", "BenchmarkSpec", "BenchRow", "BenchmarkResult", "run_benchmark",
@@ -83,8 +83,9 @@ class BenchmarkSpec:
             raise ConfigError(f"mode must be multilabel or multiclass, got {self.mode!r}")
         if self.metrics is not None:
             bad = [m for m in self.metrics if m not in METRICS]
-            if bad:
-                raise ConfigError(f"unknown metrics {bad}; choose from {METRICS}")
+            if bad or not self.metrics:
+                raise ConfigError(f"metrics must be a nonempty subset of {METRICS}, "
+                                  f"got {self.metrics}")
         if self.energy is not None and not 0.0 < self.energy <= 1.0:
             raise ConfigError("energy must be in (0, 1]")
 
@@ -117,15 +118,11 @@ class BenchmarkResult:
         return [(*key, float(np.mean(values))) for key, values in keyed.items()]
 
     def mean(self, method: str, n_t: int, metric: str) -> float:
-        values = [r.value for r in self.rows
-                  if r.method == method and r.n_t == n_t and r.metric == metric]
-        if not values:
+        """The :meth:`summary` value of one (method, n_t, metric)."""
+        value = {(m, n, k): v for m, n, k, v in self.summary()}.get((method, n_t, metric))
+        if value is None:
             raise KeyError(f"no rows for ({method}, {n_t}, {metric})")
-        return float(np.mean(values))
-
-
-def _to_classes(Y: np.ndarray) -> np.ndarray:
-    return np.argmax(Y, axis=1)
+        return value
 
 
 def _score(mean: np.ndarray, labels: np.ndarray, test: Dataset, spec: BenchmarkSpec) -> dict:
@@ -137,7 +134,8 @@ def _score(mean: np.ndarray, labels: np.ndarray, test: Dataset, spec: BenchmarkS
             values[name] = float(np.mean(labels == test.Y))
         elif name == "cr":
             if spec.mode == "multiclass":
-                values[name] = classification_rate(_to_classes(mean), _to_classes(test.Y))
+                values[name] = classification_rate(np.argmax(mean, axis=1),
+                                                   np.argmax(test.Y, axis=1))
             else:  # exact row match generalizes CR to multi-label
                 values[name] = float(np.mean(np.all(labels == test.Y, axis=1)))
         elif name == "f1":
@@ -147,23 +145,15 @@ def _score(mean: np.ndarray, labels: np.ndarray, test: Dataset, spec: BenchmarkS
     return values
 
 
-class _SourceSide(NamedTuple):
-    """The PCA projection fit on the sources, and the source experts the
-    methods need by kind (``_METHODS``)."""
-
-    project: Callable[[Dataset], Dataset]
-    experts: dict[str | None, list[Expert]]
-
-
-def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
+def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]):
+    """``(project, experts)``: the PCA projection fit on ``sources`` and the
+    source experts the methods need, by kind (``_METHODS``)."""
     projector = None
     if spec.energy is not None and sources:
         projector = pca_fit(np.concatenate([s.X for s in sources]), spec.energy)
 
     def project(d: Dataset) -> Dataset:
-        if projector is None:
-            return d
-        return Dataset(X=pca_apply(projector, d.X), Y=d.Y, domain_id=d.domain_id)
+        return d if projector is None else Dataset(pca_apply(projector, d.X), d.Y, d.domain_id)
 
     sources = [project(s) for s in sources]
     kinds = {_METHODS[m][0] for m in spec.methods}
@@ -177,19 +167,22 @@ def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]) -> _SourceSide:
         experts["pooled"] = train_source_experts([data])
     if "domains" in kinds:
         experts["domains"] = train_source_experts(sources)
-    return _SourceSide(project, experts)
+    return project, experts
 
 
 def _folds(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | None,
            shift_cfg: ShiftConfig | None):
-    """``(source side, target training pool, target test set)`` per fold, the
-    target sets projected by the side.  Synthetic folds regenerate the whole
-    corpus from one seed each; file folds share ``sources`` and partition
-    ``target_pool``, fold i testing on slice i and training on the rest."""
+    """``(source experts by kind, target training pool, target test set)`` per
+    fold, the target sets projected like the sources.  Synthetic folds each
+    regenerate and train a corpus; file folds share ``sources``, trained once,
+    and partition ``target_pool``, fold i testing on slice i."""
     if shift_cfg is not None:
         seeds = np.random.SeedSequence(spec.seed).generate_state(spec.folds)
-        splits = (synth_shift(replace(shift_cfg, seed=int(s))) for s in seeds)
+        corpora = (synth_shift(replace(shift_cfg, seed=int(s))) for s in seeds)
+        splits = ((fold_sources, *_train_sources(spec, fold_sources), pool, test)
+                  for fold_sources, pool, test in corpora)
     else:
+        trained = _train_sources(spec, sources)
         perm = np.random.default_rng(np.random.SeedSequence([spec.seed, 1])).permutation(
             target_pool.n)
         parts = [perm[f::spec.folds] for f in range(spec.folds)]
@@ -197,15 +190,13 @@ def _folds(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | N
         def rows(idx: np.ndarray, name: str) -> Dataset:
             return Dataset(target_pool.X[idx], target_pool.Y[idx], name)
 
-        splits = ((sources, rows(np.concatenate(parts[:f] + parts[f + 1:]), "target_train"),
+        splits = ((sources, *trained,
+                   rows(np.concatenate(parts[:f] + parts[f + 1:]), "target_train"),
                    rows(parts[f], "target_test")) for f in range(spec.folds))
-    trained_on = side = None
-    for fold, (fold_sources, pool, test) in enumerate(splits):
-        if fold_sources is not trained_on:  # file folds share one list: trained once
-            trained_on, side = fold_sources, _train_sources(spec, fold_sources)
+    for fold, (fold_sources, project, experts, pool, test) in enumerate(splits):
         logger.info("fold %d: %d source domains, pool %d, test %d",
                     fold, len(fold_sources), pool.n, test.n)
-        yield side, side.project(pool), side.project(test)
+        yield experts, project(pool), project(test)
 
 
 def run_benchmark(
@@ -214,29 +205,28 @@ def run_benchmark(
     target_pool: Dataset | None = None,
     shift_cfg: ShiftConfig | None = None,
 ) -> BenchmarkResult:
-    """Run the protocol on file data (``source_datasets`` + ``target_pool``)
-    or on independently regenerated synthetic folds (``shift_cfg``, whose
-    mode is set to ``spec.mode`` before it is hashed or run).
+    """Run the protocol on file data (``target_pool``, and ``source_datasets``
+    if a method needs them) or on regenerated synthetic folds (``shift_cfg``,
+    whose mode and seed ``spec`` sets before it is hashed or run), not both.
 
     The schedule is validated against the available target training pool,
     and file-mode folds against the target pool's rows, before any training
     starts.
     """
     synthetic = shift_cfg is not None
-    if synthetic == (source_datasets is not None or target_pool is not None):
-        raise InvalidInputError("pass either source_datasets+target_pool or shift_cfg")
+    if synthetic == (target_pool is not None) or (synthetic and source_datasets is not None):
+        raise InvalidInputError("pass either --target (target_pool) and any --source "
+                                "(source_datasets), or --synth/--config (shift_cfg), not both")
     needs_target = any(_METHODS[m][1] for m in spec.methods)
     needs_sources = any(_METHODS[m][0] for m in spec.methods)
 
     # schedule-vs-pool validation, before any training
     if synthetic:
-        shift_cfg = replace(shift_cfg, mode=spec.mode)
+        shift_cfg = replace(shift_cfg, mode=spec.mode, seed=ShiftConfig.seed)
         pool_size = shift_cfg.n_target_train
         if needs_sources and shift_cfg.n_source_domains < 1:
             raise ConfigError("requested methods need at least one source domain")
     else:
-        if target_pool is None:
-            raise InvalidInputError("file mode needs a target pool")
         if needs_sources and not source_datasets:
             raise ConfigError("requested methods need source datasets")
         if not 2 <= spec.folds <= target_pool.n:  # each fold trains and tests on rows
@@ -254,7 +244,7 @@ def run_benchmark(
     hashed = config_hash({"spec": asdict(spec), "data": data})
     rows: list[BenchRow] = []
     folds = _folds(spec, list(source_datasets or []), target_pool, shift_cfg)
-    for fold, (side, pool, test) in enumerate(folds):
+    for fold, (experts, pool, test) in enumerate(folds):
         scores = {}
         for n_t in spec.schedule:
             target = Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")
@@ -264,7 +254,7 @@ def run_benchmark(
                 kind, has_target, betas = _METHODS[method]
                 if method in scores and not has_target:  # ignores the target set
                     continue
-                model = GpdeModel(side.experts[kind], target_expert if has_target else None,
+                model = GpdeModel(experts[kind], target_expert if has_target else None,
                                   betas, spec.mode)
                 if (kind, has_target) not in predictions:
                     predictions[kind, has_target] = predict(model, test.X)

@@ -121,16 +121,11 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         energy=args.energy,
     )
-    synthetic = args.config is not None or args.synth
-    if synthetic == bool(args.target):
-        raise GpdeError("pass either --target (+ --source) or --config/--synth, not both")
-    if synthetic:
-        cfg = load_shift_config(args.config) if args.config else ShiftConfig()
-        result = run_benchmark(spec, shift_cfg=cfg)
-    else:
-        sources = [load_dataset(p, domain_id=_domain_id(p)) for p in args.source or []]
-        target = load_dataset(args.target, domain_id=_domain_id(args.target))
-        result = run_benchmark(spec, source_datasets=sources, target_pool=target)
+    # every data flag given is loaded; run_benchmark alone decides which go together
+    sources = [load_dataset(p, domain_id=_domain_id(p)) for p in args.source or []] or None
+    target = load_dataset(args.target, domain_id=_domain_id(args.target)) if args.target else None
+    cfg = load_shift_config(args.config) if args.config else ShiftConfig() if args.synth else None
+    result = run_benchmark(spec, source_datasets=sources, target_pool=target, shift_cfg=cfg)
     with _out_stream(args.out) as fh:
         write_result_table(fh, result)
     for method, n_t, metric, value in result.summary():

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import logging
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -148,12 +149,15 @@ def load_features(path) -> np.ndarray:
 
 
 def _write_csv(fh, header: list[str], formats: list[str], rows, comments=()) -> None:
-    """Write ``# `` comment lines, the header and each row, its columns
-    %-formatted by ``formats``, to ``fh`` in one string; every line ends in
-    ``\\n``."""
+    """Write ``# `` comment lines, the header (quoted as ``csv.writer`` quotes)
+    and each row, its columns %-formatted by ``formats``, to ``fh`` in one
+    string; every line ends in ``\\n``."""
     t0 = perf_counter()
     fmt = ",".join(formats)
-    lines = [f"# {c}" for c in comments] + [",".join(header)] + [fmt % tuple(r) for r in rows]
+    head = io.StringIO()  # so that csv.reader reads the header back to its fields
+    csv.writer(head).writerow(header)
+    lines = ([f"# {c}" for c in comments] + [head.getvalue().removesuffix("\r\n")]
+             + [fmt % tuple(r) for r in rows])
     fh.write("\n".join(lines) + "\n")
     logger.debug("wrote %s: %d x %d in %.1f ms", getattr(fh, "name", "<stream>"), len(rows),
                  len(header), 1e3 * (perf_counter() - t0))

@@ -156,10 +156,15 @@ def fuse(
     if not expert_means or len(expert_means) != len(expert_variances):
         raise InvalidInputError("expert mean/variance lists must be nonempty and aligned")
     betas = _check_betas(betas, len(expert_means))
-    means = [np.atleast_2d(np.asarray(m, dtype=float)) for m in expert_means]
+    means = [np.asarray(m, dtype=float) for m in expert_means]
     variances = [
         np.maximum(np.asarray(v, dtype=float).ravel(), VARIANCE_FLOOR) for v in expert_variances
     ]
+    if means[0].ndim != 2 or {m.shape for m in means} != {means[0].shape} or \
+            {v.size for v in variances} != {len(means[0])}:
+        raise InvalidInputError(f"expert means must share one (M, C) shape and each variance "
+                                f"hold M values, got {[m.shape for m in means]} and "
+                                f"{[np.shape(v) for v in expert_variances]}")
     active = [i for i in range(len(means)) if betas[i] > 0.0]
     if len(active) == 1:  # single-expert degeneracy is exact, no double rounding
         i = active[0]

@@ -493,12 +493,14 @@ def train_expert(data: Dataset, h: Hyperparams) -> Expert:
 
 
 def _as_queries(e: Expert, X_star) -> np.ndarray:
-    """Test inputs as an M x D float matrix, checked against the expert's D."""
+    """Finite test inputs as an M x D float matrix, checked against the expert's D."""
     X_star = _as_matrix(X_star, "X_star")
     if X_star.shape[1] != e.data.dim:
         raise InvalidInputError(
             f"X_star has D={X_star.shape[1]}, expert was trained with D={e.data.dim}"
         )
+    if not np.isfinite(X_star).all():
+        raise InvalidInputError("X_star contains NaN or Inf")
     return X_star
 
 

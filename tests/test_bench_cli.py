@@ -62,6 +62,7 @@ class TestBenchmarkSpec:
         dict(energy=0.0),
         dict(energy=1.5),
         dict(seed=-1),
+        dict(metrics=()),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigError):
@@ -200,14 +201,16 @@ class TestResultRows:
         assert a.config_hash != b.config_hash
 
     def test_hash_records_the_mode_that_ran(self):
-        """Synthetic folds run the generator in the spec's mode, so a config
-        that names another mode gives the same rows and the same hash."""
+        """Synthetic folds run the generator in the spec's mode and on the
+        spec's seeds, so a config that names another mode or another seed
+        gives the same rows and the same hash."""
         spec = BenchmarkSpec(methods=("gp_target",), schedule=(4,), folds=1,
                              metrics=("acc",), mode="multiclass", seed=7)
         a = run_benchmark(spec, shift_cfg=SMALL_CFG)
         b = run_benchmark(spec, shift_cfg=replace(SMALL_CFG, mode="multiclass"))
-        assert a.rows == b.rows
-        assert a.config_hash == b.config_hash == "a0caa83b5aaa"
+        c = run_benchmark(spec, shift_cfg=replace(SMALL_CFG, seed=7))
+        assert a.rows == b.rows == c.rows
+        assert a.config_hash == b.config_hash == c.config_hash == "a0caa83b5aaa"
 
     def test_default_mode_hash_is_pinned(self):
         """A multilabel spec on a multilabel config hashes as it always has."""
@@ -374,11 +377,28 @@ class TestCliPipeline:
         assert run_cli("weights", "--model", model_json,
                        "--data", corpus / "target_test.csv", "--out", weights_csv) == 0
         lines = weights_csv.read_text().splitlines()
-        assert lines[0] == "source_0,source_1,target_train"
+        assert lines[0] == "source_0,source_1,target_train"  # no field needs quoting
         W = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert W.shape == (20, 3)
         assert np.all(W >= 0.0)
         assert np.allclose(W.sum(axis=1), 1.0, atol=1e-8)
+
+    def test_weights_header_reads_back_to_the_domain_ids(self, corpus, tmp_path):
+        """Domain ids are CSV file stems, so a header field may hold a comma
+        or a quote; it is quoted so that csv.reader reads it back."""
+        names = ["src,a", 'src"b']
+        for k, name in enumerate(names):
+            shutil.copy(corpus / f"source_{k}.csv", tmp_path / f"{name}.csv")
+        pool, model, out = tmp_path / "sources.json", tmp_path / "model.json", tmp_path / "w.csv"
+        assert run_cli("train-source", "--source", *[tmp_path / f"{n}.csv" for n in names],
+                       "--out", pool) == 0
+        assert run_cli("adapt", "--source", pool, "--out", model) == 0
+        assert run_cli("weights", "--model", model, "--data", corpus / "target_test.csv",
+                       "--out", out) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == names
+        assert {len(r) for r in rows[1:]} == {2}
 
     def test_pool_does_not_read_the_training_csvs(self, corpus, tmp_path):
         """A pool reloads the experts that were trained: editing, then deleting,
@@ -477,9 +497,25 @@ class TestCliErrors:
         assert run_cli("predict", "--model", tmp_path / "nope.json",
                        "--data", tmp_path / "nope.csv") == 2
 
-    def test_bench_requires_one_data_source(self, corpus):
-        assert run_cli("bench", "--synth", "--target", corpus / "target_train.csv",
-                       "--metrics", "acc") == 2
+    def test_bench_requires_one_data_source(self, corpus, capsys):
+        """Every data flag given reaches run_benchmark, whose rule refuses any
+        mix of file and synthetic data, and no data, before a fold runs."""
+        for data in [("--synth", "--target", "target_train.csv"),
+                     ("--synth", "--source", "source_0.csv"),
+                     ("--config", "shift_config.txt", "--source", "source_0.csv"),
+                     ("--source", "source_0.csv"),
+                     ()]:
+            argv = [corpus / a if a.endswith((".csv", ".txt")) else a for a in data]
+            assert run_cli("bench", *argv, "--folds", 2, "--nt", 5, "--methods", "gp_target",
+                           "--metrics", "acc") == 2, data
+            assert "either --target" in capsys.readouterr().err
+
+    def test_bench_empty_metrics_is_config_error(self, corpus, capsys):
+        code = run_cli("bench", "--source", corpus / "source_0.csv",
+                       "--target", corpus / "target_train.csv", "--folds", 2, "--nt", 5,
+                       "--methods", "gp_target", "--metrics", "")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: metrics must be a nonempty subset")
 
     def test_bench_schedule_exceeding_pool_is_config_error(self, corpus):
         code = run_cli("bench", "--config", corpus / "shift_config.txt",

@@ -127,6 +127,17 @@ class TestFuse:
             fuse(means, variances, uniform(3))
         with pytest.raises(InvalidInputError):
             fuse(means, variances, np.array([0.9, 0.9]))
+        # misaligned arrays: every mean one shared (M, C), every variance M values
+        for bad_means, bad_variances in [
+            ([means[0], means[1][:2]], variances),
+            ([means[0], means[1][:, :1]], variances),
+            (means, [variances[0], variances[1][:2]]),
+            (means, [v[:2] for v in variances]),
+            ([m[:, 0] for m in means], variances),
+            ([means[0][:, 0]], variances[:1]),  # one active expert: was returned as (1, M)
+        ]:
+            with pytest.raises(InvalidInputError, match=r"one \(M, C\) shape"):
+                fuse(bad_means, bad_variances, uniform(len(bad_means)))
 
 
 class TestBetaValidation:
@@ -347,6 +358,18 @@ class TestQueryShape:
     def test_rejected(self, rng, call, query):
         model = make_model(rng)
         with pytest.raises(InvalidInputError, match="2-d array"):
+            call(model, query)
+
+    PREDICTION = {k: call for k, call in CALLS.items() if k != "pca_apply"}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", PREDICTION.values(), ids=PREDICTION.keys())
+    def test_non_finite_rejected(self, rng, call, value):
+        """A NaN or Inf query entry is refused, not predicted as NaN with label -1."""
+        model = make_model(rng)
+        query = rng.normal(size=(3, 2))
+        query[1, 0] = value
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
             call(model, query)
 
 

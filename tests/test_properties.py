@@ -1,6 +1,10 @@
 """Properties of trained models on random small problems: a saved and reloaded
-model predicts the same bits, and a single query point gets the row it gets
-in a batch.  Experts are built from drawn hyperparameters, with no fit."""
+model predicts the same bits, a single query point gets the row it gets in a
+batch, adaptation is dense conditioning on source and target data and never
+raises a variance, fusion with one active expert returns that expert, and the
+marginal-likelihood gradient matches central differences.  Experts are built
+from drawn hyperparameters, with no fit.  The conditioning reference uses
+numpy alone, never ``gpde.adaptation`` or ``gpde.experts``."""
 
 import tempfile
 from pathlib import Path
@@ -9,12 +13,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpde import (Dataset, GpdeModel, Hyperparams, expert_weights, load_bundle, predict,
-                  save_bundle, train_expert)
+from gpde import (AdaptedExpert, Dataset, GpdeModel, Hyperparams, expert_weights, fuse,
+                  load_bundle, log_marginal_likelihood, posterior, predict, save_bundle,
+                  train_expert)
+from gpde.experts import VARIANCE_FLOOR
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 # the tolerances of the serve workload's single-row check
 RTOL, ATOL = 1e-9, 1e-12
+# the acceptance suite's: union conditioning, and central differences
+UNION_ATOL = 1e-8
+FD_STEP, FD_RTOL, FD_ATOL = 1e-6, 1e-5, 1e-7
 
 
 def log_uniform(low: float, high: float):
@@ -27,10 +36,12 @@ hyper = st.builds(Hyperparams, length_scale=log_uniform(0.2, 5.0),
 
 
 @st.composite
-def models(draw, min_queries=1):
+def models(draw, min_queries=1, near_duplicates=False):
     """A model of 1-3 source experts of 1-30 rows that share one drawn
     hyperparameter triple, a target expert of 1-15 rows with its own, D in
-    1..3 and C in {1, 3} with labels in {-1, +1}; and a query matrix."""
+    1..3 and C in {1, 3} with labels in {-1, +1}; and a query matrix.  With
+    ``near_duplicates``, each target row repeats a source row to within 1e-9
+    with probability 1/2."""
     dim, n_out = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3]))
     sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
     n_target, n_query = draw(st.integers(1, 15)), draw(st.integers(min_queries, 30))
@@ -41,8 +52,27 @@ def models(draw, min_queries=1):
         return Dataset(rng.normal(size=(n, dim)), rng.choice([-1.0, 1.0], size=(n, n_out)), name)
 
     sources = [train_expert(domain(n, f"s{k}"), shared) for k, n in enumerate(sizes)]
-    target = train_expert(domain(n_target, "t"), own)
-    return GpdeModel(sources, target), rng.normal(size=(n_query, dim))
+    target = domain(n_target, "t")
+    if near_duplicates:
+        rows, X = np.vstack([s.data.X for s in sources]), target.X.copy()
+        repeat = rng.random(n_target) < 0.5
+        X[repeat] = (rows[rng.integers(0, len(rows), repeat.sum())]
+                     + 1e-9 * rng.normal(size=(repeat.sum(), dim)))
+        target = Dataset(X, target.Y, "t")
+    return GpdeModel(sources, train_expert(target, own)), rng.normal(size=(n_query, dim))
+
+
+def rbf(A: np.ndarray, B: np.ndarray, h: Hyperparams) -> np.ndarray:
+    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
+    return h.signal_std**2 * np.exp(-0.5 * d2 / h.length_scale**2)
+
+
+def condition(X: np.ndarray, Y: np.ndarray, Xq: np.ndarray, h: Hyperparams):
+    """Dense GP posterior mean and variance at ``Xq`` given ``(X, Y)`` at ``h``."""
+    K = rbf(X, X, h) + h.noise_std**2 * np.eye(len(X))
+    Ks = rbf(X, Xq, h)
+    sol = np.linalg.solve(K, Ks)
+    return sol.T @ Y, h.signal_std**2 - np.sum(Ks * sol, axis=0)
 
 
 @PROPERTY
@@ -73,3 +103,61 @@ def test_single_point_matches_its_batch_row(drawn, row):
     W, w = expert_weights(model, X), expert_weights(model, X[j])
     assert W.shape == (X.shape[0], model.n_experts) and w.shape == (1, model.n_experts)
     assert np.allclose(w[0], W[j], rtol=RTOL, atol=ATOL)
+
+
+@PROPERTY
+@given(models())
+def test_adaptation_is_union_conditioning(drawn):
+    """Each adapted source expert predicts as one GP conditioned on its source
+    rows and the target rows at the source noise, where no jitter was added."""
+    model, X = drawn
+    target = model.target.data
+    for source in model.sources:
+        adapted = AdaptedExpert(source, target)
+        if source.jitter or adapted.jitter:
+            continue
+        pred = adapted.posterior(X)
+        mean, var = condition(np.vstack([source.data.X, target.X]),
+                              np.vstack([source.data.Y, target.Y]), X, source.hyper)
+        assert np.max(np.abs(pred.mean - mean)) < UNION_ATOL
+        assert np.max(np.abs(pred.variance - var)) < UNION_ATOL
+
+
+@PROPERTY
+@given(models(near_duplicates=True))
+def test_adaptation_never_raises_a_variance(drawn):
+    model, X = drawn
+    for source in model.sources:
+        adapted = AdaptedExpert(source, model.target.data).posterior(X)
+        assert np.all(adapted.variance <= posterior(source, X).variance)
+
+
+@PROPERTY
+@given(models(), st.integers(0, 3))
+def test_fuse_with_one_active_expert_returns_it(drawn, pick):
+    model, X = drawn
+    p = predict(model, X)
+    i = pick % model.n_experts
+    betas = np.zeros(model.n_experts)
+    betas[i] = 1.0
+    mean, variance = fuse(p.per_expert_means, p.per_expert_variances, betas)
+    assert np.array_equal(mean, p.per_expert_means[i])
+    assert np.array_equal(variance, np.maximum(p.per_expert_variances[i], VARIANCE_FLOOR))
+
+
+@PROPERTY
+@given(hyper, st.integers(1, 30), st.integers(1, 3), st.sampled_from([1, 3]),
+       st.integers(0, 2**32 - 1))
+def test_gradient_matches_central_differences(h, n, dim, n_out, seed):
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.normal(size=(n, dim)), rng.choice([-1.0, 1.0], size=(n, n_out)), "d")
+    _, grad = log_marginal_likelihood(data, h)
+    z = np.array(h.to_log())
+    fd = np.empty(3)
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = FD_STEP
+        up, _ = log_marginal_likelihood(data, Hyperparams.from_log(z + step))
+        down, _ = log_marginal_likelihood(data, Hyperparams.from_log(z - step))
+        fd[j] = (up - down) / (2.0 * FD_STEP)
+    assert np.all(np.abs(grad - fd) <= FD_RTOL * np.abs(fd) + FD_ATOL), (grad, fd)

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, every exported function
-is documented in the README, and removed names stay gone."""
+is documented in the README, the README's method table names the benchmark
+methods, and removed names stay gone."""
 
 import dataclasses
 import importlib
@@ -25,7 +26,8 @@ REMOVED = {
     "gpde.model_io": ["load_expert_pool"],
     "gpde.gp_core": ["default_init", "_lml_value", "_lml_grad"],
     "gpde.data": ["latent_label_fn"],
-    "gpde.bench": ["_TARGET_METHODS", "_POOLED_METHODS", "_score_methods"],
+    "gpde.bench": ["_TARGET_METHODS", "_POOLED_METHODS", "_score_methods", "_SourceSide",
+                   "_to_classes"],
 }
 
 
@@ -37,11 +39,20 @@ def test_exported_names_resolve(module):
     assert [n for n in exported if not hasattr(mod, n)] == []
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_exported_functions_are_in_the_readme():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     functions = [n for n in gpde.__all__ if inspect.isfunction(getattr(gpde, n))]
     assert functions
     assert [n for n in functions if not re.search(rf"`{n}`", readme)] == []
+
+
+def test_readme_method_table_names_the_benchmark_methods():
+    section = README.read_text().split("### Benchmark methods", 1)[1].split("\n#", 1)[0]
+    named = re.findall(r"^\| `(\w+)` ", section, flags=re.MULTILINE)
+    assert named == list(gpde.bench.METHODS)
 
 
 @pytest.mark.parametrize("module", REMOVED)
