@@ -46,7 +46,9 @@ class AdaptedExpert:
         self.source = source
         self.target = target
         # Source posterior jointly at the target inputs: mean (N_t x C) and
-        # covariance (N_t x N_t), symmetrized against floating-point asymmetry.
+        # covariance (N_t x N_t).  The covariance is symmetric bit for bit, as
+        # the factorization needs: K_tt is, and numpy forms v.T @ v by a
+        # symmetric rank-k update.
         K_st = kernel_matrix(source.data.X, target.X, h=source.hyper)  # N_s x N_t
         prior_mean = K_st.T @ source.alpha
         # N_s x N_t half-solve, reused for every cross-covariance batch; K_st is consumed
@@ -54,7 +56,6 @@ class AdaptedExpert:
         if K_tt is None:
             K_tt = kernel_matrix(target.X, h=source.hyper)
         prior_cov = K_tt - self._v_t.T @ self._v_t
-        prior_cov = 0.5 * (prior_cov + prior_cov.T)
         self._chol_t, self._correction, self.jitter = _factor(  # source noise on target rows
             prior_cov, source.hyper.noise_std**2, target.Y - prior_mean)
 

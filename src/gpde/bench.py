@@ -1,15 +1,27 @@
 """Benchmark protocol: train on sources, adapt to a growing target set, score.
 
-The source models are trained once per set of sources: inside the fold loop
-for synthetic folds, which regenerate their sources, and once before it for
-file-mode folds, which share them.  The target training set is then grown
-through the requested cardinality schedule and every method is scored on the
-held-out target test set.  Every method is a :class:`GpdeModel`
+A run has two phases.  **Train** lists every expert fit the run needs: per
+set of sources, the pooled and the per-domain fit the methods ask for, and
+per fold and target cardinality, the target fit on that fold's first n_t
+training rows.  Synthetic folds regenerate their sources, so each has its
+own source set; file-mode folds share one.  Growing the target schedule
+never retrains the sources.  **Score** then predicts and scores every fold
+with its trained experts.  Every method is a :class:`GpdeModel`
 configuration, stated once in ``_METHODS``: its kind of source experts
 (``pooled``, one expert on all source data; ``domains``, one expert per
 source domain; or none), whether it has the expert fit on the target subset,
 and its betas, where ``None`` is the model's default, uniform over the
 experts present.
+
+The fits are independent, and so are the folds once the experts exist, so
+each phase is split over this process and children forked with
+``os.fork``, one per usable CPU (:func:`_in_processes`).  Fits are shared
+out longest first by the cube of their row counts, folds evenly.  Each
+child inherits its inputs and pickles back its results; its warnings and
+log records are issued in the caller and its exception is raised there.
+Every process runs the same code on one BLAS thread, so the rows come out
+with the bits of a run in one process; where ``os.fork`` is missing or one
+CPU is usable, everything runs in the calling process.
 
 A source expert is conditioned on the target subset whenever the model has a
 target expert, so ``gpa`` is the adapted pooled expert alone: its zero beta
@@ -26,15 +38,23 @@ configured generator; file-based folds partition the target pool.
 from __future__ import annotations
 
 import logging
+import logging.handlers
+import os
+import pickle
+import queue
+import signal
+import sys
+import traceback
+import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
+from ._blas import blas_threads
 from .data import ShiftConfig, _write_csv, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
-from .experts import (MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts,
-                      train_target_expert)
+from .experts import MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts
 from .gp_core import Dataset
 from .metrics import classification_rate, multilabel_report
 
@@ -145,9 +165,9 @@ def _score(mean: np.ndarray, labels: np.ndarray, test: Dataset, spec: BenchmarkS
     return values
 
 
-def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]):
-    """``(project, experts)``: the PCA projection fit on ``sources`` and the
-    source experts the methods need, by kind (``_METHODS``)."""
+def _project(spec: BenchmarkSpec, sources: list[Dataset]):
+    """``(projected sources, project)``: ``project`` applies the PCA projection
+    fit on ``sources``, or is the identity without one."""
     projector = None
     if spec.energy is not None and sources:
         projector = pca_fit(np.concatenate([s.X for s in sources]), spec.energy)
@@ -155,34 +175,22 @@ def _train_sources(spec: BenchmarkSpec, sources: list[Dataset]):
     def project(d: Dataset) -> Dataset:
         return d if projector is None else Dataset(pca_apply(projector, d.X), d.Y, d.domain_id)
 
-    sources = [project(s) for s in sources]
-    kinds = {_METHODS[m][0] for m in spec.methods}
-    experts = {None: []}
-    if "pooled" in kinds:
-        data = Dataset(
-            X=np.concatenate([s.X for s in sources]),
-            Y=np.concatenate([s.Y for s in sources]),
-            domain_id="source_pool",
-        )
-        experts["pooled"] = train_source_experts([data])
-    if "domains" in kinds:
-        experts["domains"] = train_source_experts(sources)
-    return project, experts
+    return [project(s) for s in sources], project
 
 
-def _folds(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | None,
-           shift_cfg: ShiftConfig | None):
-    """``(source experts by kind, target training pool, target test set)`` per
-    fold, the target sets projected like the sources.  Synthetic folds each
-    regenerate and train a corpus; file folds share ``sources``, trained once,
-    and partition ``target_pool``, fold i testing on slice i."""
+def _corpora(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | None,
+             shift_cfg: ShiftConfig | None):
+    """``(source sets, folds)``: the projected source sets, and per fold the
+    index of its source set, its target training pool and its target test
+    set, projected like that source set.  Synthetic folds each regenerate a
+    corpus with its own source set; file folds share ``sources`` and
+    partition ``target_pool``, fold i testing on slice i."""
     if shift_cfg is not None:
         seeds = np.random.SeedSequence(spec.seed).generate_state(spec.folds)
-        corpora = (synth_shift(replace(shift_cfg, seed=int(s))) for s in seeds)
-        splits = ((fold_sources, *_train_sources(spec, fold_sources), pool, test)
-                  for fold_sources, pool, test in corpora)
+        corpora = [synth_shift(replace(shift_cfg, seed=int(s))) for s in seeds]
+        raw_sets = [fold_sources for fold_sources, _, _ in corpora]
+        splits = [(f, pool, test) for f, (_, pool, test) in enumerate(corpora)]
     else:
-        trained = _train_sources(spec, sources)
         perm = np.random.default_rng(np.random.SeedSequence([spec.seed, 1])).permutation(
             target_pool.n)
         parts = [perm[f::spec.folds] for f in range(spec.folds)]
@@ -190,13 +198,129 @@ def _folds(spec: BenchmarkSpec, sources: list[Dataset], target_pool: Dataset | N
         def rows(idx: np.ndarray, name: str) -> Dataset:
             return Dataset(target_pool.X[idx], target_pool.Y[idx], name)
 
-        splits = ((sources, *trained,
-                   rows(np.concatenate(parts[:f] + parts[f + 1:]), "target_train"),
-                   rows(parts[f], "target_test")) for f in range(spec.folds))
-    for fold, (fold_sources, project, experts, pool, test) in enumerate(splits):
-        logger.info("fold %d: %d source domains, pool %d, test %d",
-                    fold, len(fold_sources), pool.n, test.n)
-        yield experts, project(pool), project(test)
+        raw_sets = [sources]
+        splits = [(0, rows(np.concatenate(parts[:f] + parts[f + 1:]), "target_train"),
+                   rows(parts[f], "target_test")) for f in range(spec.folds)]
+    source_sets, projections = zip(*(_project(spec, s) for s in raw_sets))
+    return list(source_sets), [(s, projections[s](pool), projections[s](test))
+                               for s, pool, test in splits]
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a child, set as its cause."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _shares(costs: list[float], n: int) -> list[list[int]]:
+    """Item indices per process, longest processing time first: each item in
+    decreasing cost goes to the share with the least cost so far, the
+    lowest-numbered on ties, so share 0 holds the costliest item.  Each share
+    lists its items in item order."""
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0.0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_child(fn, items: list, read_fd: int, write_fd: int) -> NoReturn:
+    """Run ``fn`` on ``items`` in a forked child and write ``(exception,
+    traceback, results, warnings, log records)`` to ``write_fd``, the first
+    two None unless ``fn`` raised.  Warnings are all recorded, for the
+    parent's filters to judge; log records reaching the root logger are
+    kept for the parent's handlers.  Never returns, so no exception reaches
+    the parent's code in the child."""
+    status = 1
+    try:
+        os.close(read_fd)
+        records: queue.SimpleQueue = queue.SimpleQueue()
+        logging.root.handlers = [logging.handlers.QueueHandler(records)]
+        error, tb, results = None, None, []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                results = [fn(item) for item in items]
+            except BaseException as exc:  # noqa: BLE001  (handed to the parent)
+                error, tb = exc, traceback.format_exc()
+        logs = []
+        while not records.empty():
+            logs.append(records.get_nowait())
+        with os.fdopen(write_fd, "wb") as out:
+            pickle.dump((error, tb, results,
+                         [(w.message, w.category, w.filename, w.lineno) for w in caught], logs),
+                        out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _warn_again(message, category, filename: str, lineno: int) -> None:
+    """Issue a warning caught in a child as :func:`warnings.warn` would have
+    here: through this process's filters and the once-per-location registry
+    of the module at ``filename``."""
+    module = next((vars(m) for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), {})
+    warnings.warn_explicit(message, category, filename, lineno, module=module.get("__name__"),
+                           registry=module.setdefault("__warningregistry__", {}),
+                           module_globals=module or None)
+
+
+def _in_processes(fn, items: list, costs: list[float]) -> list:
+    """``[fn(item) for item in items]``, the items split by :func:`_shares`
+    over this process and forked children, one per usable CPU.
+
+    This process runs share 0, the costliest item among it; each other share
+    runs in a child forked with ``os.fork``, which inherits ``fn`` and the
+    items and pickles back its results over a pipe.  The children's warnings
+    and log records are issued here, child by child, after this process's
+    share; a child's exception is raised here with its own type, its
+    traceback as its cause.  Every child is reaped before this returns or
+    raises, and killed first if its result is no longer wanted.  Everything
+    runs on one BLAS thread per process.
+    """
+    processes = 1  # where this platform cannot fork
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        processes = max(1, min(len(items), len(os.sched_getaffinity(0))))
+    shares = _shares(costs, processes)
+    results = [None] * len(items)
+    children = []  # (pid, read end, share)
+    try:
+        with blas_threads(1):
+            for share in shares[1:]:
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(fn, [items[i] for i in share], read_fd, write_fd)
+                os.close(write_fd)
+                children.append((pid, os.fdopen(read_fd, "rb"), share))
+            for i in shares[0]:
+                results[i] = fn(items[i])
+            for pid, reader, share in children:
+                payload = reader.read()
+                if not payload:
+                    raise ChildProcessError(f"benchmark child {pid} ended without a result")
+                error, tb, values, caught, logs = pickle.loads(payload)
+                for record in logs:
+                    logging.getLogger(record.name).handle(record)
+                for warning in caught:
+                    _warn_again(*warning)
+                if error is not None:
+                    raise error from _ChildTraceback(tb)
+                for i, value in zip(share, values):
+                    results[i] = value
+    except BaseException:
+        for pid, _, _ in children:  # their results are no longer wanted
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.waitpid(pid, 0)
+    return results
 
 
 def run_benchmark(
@@ -242,13 +366,34 @@ def run_benchmark(
         "sources": [d.domain_id for d in (source_datasets or [])],
         "target": target_pool.domain_id, "n": target_pool.n}
     hashed = config_hash({"spec": asdict(spec), "data": data})
-    rows: list[BenchRow] = []
-    folds = _folds(spec, list(source_datasets or []), target_pool, shift_cfg)
-    for fold, (experts, pool, test) in enumerate(folds):
-        scores = {}
+    source_sets, folds = _corpora(spec, list(source_datasets or []), target_pool, shift_cfg)
+
+    # train: every train_source_experts call of the run, as one list of jobs
+    kinds = [k for k in ("pooled", "domains") if any(_METHODS[m][0] == k for m in spec.methods)]
+    jobs = []
+    for sources in source_sets:
+        if "pooled" in kinds:
+            jobs.append([Dataset(X=np.concatenate([s.X for s in sources]),
+                                 Y=np.concatenate([s.Y for s in sources]),
+                                 domain_id="source_pool")])
+        if "domains" in kinds:
+            jobs.append(sources)
+    if needs_target:
+        jobs.extend([Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")]
+                    for _, pool, _ in folds for n_t in spec.schedule)
+    trained = iter(_in_processes(train_source_experts, jobs,
+                                 [sum(d.n ** 3 for d in job) for job in jobs]))
+    source_experts = [{None: [], **{kind: next(trained) for kind in kinds}}
+                      for _ in source_sets]
+    target_experts = [{n_t: next(trained)[0] if needs_target else None for n_t in spec.schedule}
+                      for _ in folds]
+
+    # score: one item per fold
+    def score_fold(fold: int) -> list[BenchRow]:
+        source_set, _, test = folds[fold]
+        experts, rows, scores = source_experts[source_set], [], {}
         for n_t in spec.schedule:
-            target = Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")
-            target_expert = train_target_expert(target) if needs_target else None
+            target_expert = target_experts[fold][n_t]
             predictions = {}  # (kind, has target): one predict, fused per method's betas
             for method in spec.methods:
                 kind, has_target, betas = _METHODS[method]
@@ -266,6 +411,14 @@ def run_benchmark(
                     BenchRow(method, n_t, fold, metric, value)
                     for metric, value in scores[method].items()
                 )
+        return rows
+
+    for fold, (source_set, pool, test) in enumerate(folds):
+        logger.info("fold %d: %d source domains, pool %d, test %d",
+                    fold, len(source_sets[source_set]), pool.n, test.n)
+    rows = [row for fold_rows in _in_processes(score_fold, list(range(spec.folds)),
+                                                [1] * spec.folds)
+            for row in fold_rows]
     return BenchmarkResult(spec=spec, rows=rows, config_hash=hashed)
 
 

@@ -194,6 +194,8 @@ def pca_fit(X, energy: float = 0.99) -> PcaProjector:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InvalidInputError("pca_fit needs an N x D matrix with N >= 2")
+    if not np.isfinite(X).all():
+        raise InvalidInputError("pca_fit input contains NaN or Inf")
     if not 0.0 < energy <= 1.0:
         raise InvalidInputError(f"energy must be in (0, 1], got {energy}")
     mean = X.mean(axis=0)
@@ -217,6 +219,8 @@ def pca_apply(p: PcaProjector, X) -> np.ndarray:
         raise InvalidInputError(
             f"X has D={X.shape[1]}, projector was fit with D={p.basis.shape[0]}"
         )
+    if not np.isfinite(X).all():
+        raise InvalidInputError("pca_apply input contains NaN or Inf")
     return (X - p.mean) @ p.basis
 
 

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import logging
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +18,13 @@ import gpde.bench as bench_mod
 import gpde.cli as cli
 import gpde.experts as experts_mod
 import gpde.gp_core as gp_core
+from gpde import _blas
 from gpde import (
     BenchmarkSpec,
     ConfigError,
     Dataset,
     Hyperparams,
+    NumericalError,
     ShiftConfig,
     load_dataset,
     load_shift_config,
@@ -123,10 +127,29 @@ class TestScheduleValidation:
             run_benchmark(spec)
 
 
-def count_source_fits(monkeypatch) -> list:
+class CallLog:
+    """Calls recorded as JSON lines appended to a file, so that calls made in
+    the forked children of a benchmark run count too; :meth:`read` lists
+    them in the order written, which across processes is not defined."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, item) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps(item) + "\n")
+
+    def read(self) -> list:
+        if not os.path.exists(self.path):
+            return []
+        with open(self.path) as fh:
+            return [json.loads(line) for line in fh]
+
+
+def count_source_fits(monkeypatch, path) -> CallLog:
     """The domain ids of each hyperparameter fit on source data from now on,
-    one list per fit, counted at ``fit_detailed``."""
-    calls = []
+    one list per fit, counted at ``fit_detailed`` in ``path``."""
+    calls = CallLog(path)
     real = gp_core.fit_detailed
 
     def counting(datasets, *args, **kwargs):
@@ -139,16 +162,16 @@ def count_source_fits(monkeypatch) -> list:
 
 
 @pytest.fixture(scope="module")
-def gpde_counted_runs():
+def gpde_counted_runs(tmp_path_factory):
     """The same gpde-only benchmark at two schedule lengths, each with the
     source fits it ran."""
     base = dict(methods=("gpde",), folds=2, metrics=("acc",), seed=3, energy=None)
     runs = []
     for schedule in ((5, 10), (5, 10, 15)):
         with pytest.MonkeyPatch.context() as mp:
-            fits = count_source_fits(mp)
+            fits = count_source_fits(mp, tmp_path_factory.mktemp("fits") / "fits.jsonl")
             runs.append((run_benchmark(BenchmarkSpec(schedule=schedule, **base),
-                                       shift_cfg=SMALL_CFG), len(fits)))
+                                       shift_cfg=SMALL_CFG), len(fits.read())))
     return runs
 
 
@@ -168,12 +191,12 @@ class TestFitBudget:
         (_, short), (_, longer) = gpde_counted_runs
         assert short == longer
 
-    def test_gp_source_constant_across_schedule(self, monkeypatch):
+    def test_gp_source_constant_across_schedule(self, monkeypatch, tmp_path):
         spec = BenchmarkSpec(methods=("gp_source",), schedule=(5, 10), folds=1,
                              metrics=("acc",), seed=2)
-        fits = count_source_fits(monkeypatch)
+        fits = count_source_fits(monkeypatch, tmp_path / "fits.jsonl")
         result = run_benchmark(spec, shift_cfg=SMALL_CFG)
-        assert len(fits) == 1
+        assert len(fits.read()) == 1
         assert result.mean("gp_source", 5, "acc") == result.mean("gp_source", 10, "acc")
 
 
@@ -249,13 +272,13 @@ class TestResultTable:
 
 
 class TestFileMode:
-    def test_file_benchmark_runs(self, rng, monkeypatch):
+    def test_file_benchmark_runs(self, rng, monkeypatch, tmp_path):
         sources, pool, _ = synth_shift(SMALL_CFG)
         spec = BenchmarkSpec(methods=("gp_target", "gpa"), schedule=(5, 10),
                              folds=2, metrics=("acc",), seed=1)
-        fits = count_source_fits(monkeypatch)
+        fits = count_source_fits(monkeypatch, tmp_path / "fits.jsonl")
         result = run_benchmark(spec, source_datasets=sources, target_pool=pool)
-        assert len(fits) == 1
+        assert len(fits.read()) == 1
         assert len(result.rows) == 2 * 2 * 2
         # folds partition the pool, so fold values differ in general
         assert result.rows == run_benchmark(spec, source_datasets=sources,
@@ -280,36 +303,205 @@ class TestMethodTable:
                                   target_pool=pool).rows
             assert alone == [r for r in together if r.method == method]
 
-    def test_predict_calls_per_fold(self, file_data, monkeypatch):
+    def test_predict_calls_per_fold(self, file_data, monkeypatch, tmp_path):
         """gp_source is predicted once per fold; gpa and gpde_ss share one
         predict per cardinality, and gp_target and gpde take one each."""
         sources, pool = file_data
-        calls = []
+        calls = CallLog(tmp_path / "predict.jsonl")
         real = bench_mod.predict
         monkeypatch.setattr(bench_mod, "predict",
-                            lambda model, X: calls.append(model) or real(model, X))
+                            lambda model, X: calls.append(model.n_experts) or real(model, X))
         spec = BenchmarkSpec(schedule=(5, 10, 15), folds=2, metrics=("acc",), seed=4)
         run_benchmark(spec, source_datasets=sources, target_pool=pool)
-        assert len(calls) == spec.folds * (1 + 3 * len(spec.schedule))
+        assert len(calls.read()) == spec.folds * (1 + 3 * len(spec.schedule))
 
 
 class TestSourceFitsRun:
     """Hyperparameter fits actually run on source data, counted at ``fit_detailed``."""
 
-    def test_file_folds_share_one_source_training(self, monkeypatch):
+    def test_file_folds_share_one_source_training(self, monkeypatch, tmp_path):
         sources, pool, _ = synth_shift(SMALL_CFG)
-        calls = count_source_fits(monkeypatch)
+        calls = count_source_fits(monkeypatch, tmp_path / "fits.jsonl")
         spec = BenchmarkSpec(schedule=(5, 10), folds=3, metrics=("acc",), seed=2)
         result = run_benchmark(spec, source_datasets=sources, target_pool=pool)
-        assert len(calls) == 2  # pooled + shared
-        assert calls == [["source_pool"], [s.domain_id for s in sources]]
+        fits = calls.read()
+        assert len(fits) == 2  # pooled + shared
+        # fits run in several processes, so the order between them is not defined
+        assert sorted(fits) == sorted([["source_pool"], [s.domain_id for s in sources]])
         assert {r.fold for r in result.rows} == {0, 1, 2}
 
-    def test_synthetic_folds_train_their_own_sources(self, monkeypatch):
-        calls = count_source_fits(monkeypatch)
+    def test_synthetic_folds_train_their_own_sources(self, monkeypatch, tmp_path):
+        calls = count_source_fits(monkeypatch, tmp_path / "fits.jsonl")
         spec = BenchmarkSpec(schedule=(5,), folds=2, metrics=("acc",), seed=2)
         run_benchmark(spec, shift_cfg=SMALL_CFG)
-        assert len(calls) == 2 * 2
+        assert len(calls.read()) == 2 * 2
+
+
+def on_cpus(monkeypatch, n: int) -> list:
+    """Make ``n`` CPUs usable to benchmark runs from now on; the returned list
+    gets an entry per ``os.fork`` this process makes."""
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def float_environment():
+    """The OpenBLAS thread counts, open ``blas_threads`` scopes and MXCSR
+    FTZ|DAZ bits of this process, as tests/test_blas.py reads them."""
+    fenv = _blas._find_fenv()
+    bits = None
+    if fenv:
+        bits = _blas._set_flush_bits(fenv, 0)
+        _blas._set_flush_bits(fenv, bits)
+    return [get() for _, get, _ in _blas._find_libraries()], _blas._depth, bits
+
+
+@pytest.fixture
+def leaves_no_trace():
+    """Fail if the test changes the float environment or leaves a child process."""
+    before = float_environment()
+    yield
+    assert float_environment() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+TINY_CFG = ShiftConfig(n_source_domains=2, samples_per_domain=15, n_target_train=12,
+                       n_target_test=12, dims=2, seed=0)
+TINY_SOURCES, TINY_TRAIN, TINY_TEST = synth_shift(TINY_CFG)
+TINY_POOL = Dataset(np.vstack([TINY_TRAIN.X, TINY_TEST.X]), np.vstack([TINY_TRAIN.Y, TINY_TEST.Y]),
+                    "target_pool")
+
+
+class TestProcesses:
+    """A run split over forked children gives the bits of a run in one process."""
+
+    CASES = {
+        "synthetic": (BenchmarkSpec(schedule=(6, 12), folds=3, seed=2),
+                      dict(shift_cfg=TINY_CFG)),
+        "multiclass": (BenchmarkSpec(schedule=(6, 12), folds=3, seed=1, mode="multiclass"),
+                       dict(shift_cfg=replace(TINY_CFG, n_outputs=3))),
+        "file-101": (BenchmarkSpec(schedule=(6, 12), folds=2, seed=101),
+                     dict(source_datasets=TINY_SOURCES, target_pool=TINY_POOL)),
+        "file-4103": (BenchmarkSpec(schedule=(6, 12), folds=2, seed=4103),
+                      dict(source_datasets=TINY_SOURCES, target_pool=TINY_POOL)),
+    }
+
+    # six target fits, two per process on three CPUs
+    TARGETS_ONLY = (BenchmarkSpec(methods=("gp_target",), schedule=(6, 12), folds=3, seed=2,
+                                  metrics=("acc",)), dict(shift_cfg=TINY_CFG))
+
+    @pytest.mark.parametrize("spec, data", CASES.values(), ids=CASES.keys())
+    def test_same_bits_as_one_cpu(self, spec, data, monkeypatch, leaves_no_trace):
+        """Rows, summary, hash and warnings; the tiny target fits warn."""
+        def run(cpus: int):
+            forks = on_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run_benchmark(spec, **data)
+            return result, len(forks), sorted((str(w.message), w.lineno) for w in caught)
+
+        split, split_forks, split_warnings = run(3)
+        alone, alone_forks, alone_warnings = run(1)
+        # two children for the fits, and one per fold after the first, up to two
+        assert (split_forks, alone_forks) == (2 + min(spec.folds, 3) - 1, 0)
+        assert split.rows == alone.rows
+        assert split.summary() == alone.summary()
+        assert split.config_hash == alone.config_hash
+        assert split_warnings == alone_warnings
+
+    @staticmethod
+    def fail_fits_in(monkeypatch, where: str) -> None:
+        """Make every fit raise NumericalError in the parent or in the children."""
+        parent, real = os.getpid(), experts_mod.fit
+
+        def fit(datasets):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise NumericalError(f"fit failed in the {where}")
+            return real(datasets)
+
+        monkeypatch.setattr(experts_mod, "fit", fit)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_fit_error_is_raised_with_its_type(self, where, monkeypatch, leaves_no_trace):
+        self.fail_fits_in(monkeypatch, where)
+        on_cpus(monkeypatch, 3)
+        spec, data = self.CASES["synthetic"]
+        with pytest.raises(NumericalError, match=f"in the {where}$") as raised, \
+                warnings.catch_warnings(record=True):  # the fits that run may warn
+            run_benchmark(spec, **data)
+        if where == "child":  # the child's traceback is the cause
+            assert "in fit" in str(raised.value.__cause__)
+
+    def test_cli_exits_2_on_a_child_error(self, monkeypatch, tmp_path, capsys,
+                                          leaves_no_trace):
+        self.fail_fits_in(monkeypatch, "child")
+        on_cpus(monkeypatch, 2)
+        save_shift_config(tmp_path / "cfg.txt", SMALL_CFG)
+        with warnings.catch_warnings(record=True):  # the fits that run may warn
+            assert run_cli("bench", "--config", tmp_path / "cfg.txt", "--folds", 2,
+                           "--nt", 5, "--methods", "gpde", "--metrics", "acc") == 2
+        assert capsys.readouterr().err == "error: fit failed in the child\n"
+
+    def test_child_warnings_reach_the_caller(self, monkeypatch, leaves_no_trace):
+        """Every fit is made to miss its tolerance; each process's fits then
+        warn in the caller with the text and location of a one-process run,
+        and through the caller's once-per-location registry."""
+        real = gp_core.fit_detailed
+        monkeypatch.setattr(gp_core, "fit_detailed",
+                            lambda datasets: replace(real(datasets), converged=False))
+        spec, data = self.TARGETS_ONLY
+
+        def warned(cpus: int) -> list:
+            on_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_benchmark(spec, **data)
+            return sorted((w.category.__name__, str(w.message), w.filename, w.lineno)
+                          for w in caught)
+
+        split = warned(3)
+        assert len(split) == 3 * 2  # a target fit per fold and cardinality
+        assert split == warned(1)
+        assert {w[2] for w in split} == {experts_mod.__file__}
+        # under "default", a second identical run finds every text in the registry
+        on_cpus(monkeypatch, 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_benchmark(spec, **data)
+            first = len(caught)
+            run_benchmark(spec, **data)
+        assert 0 < first == len(caught)
+
+    def test_child_log_records_reach_the_caller(self, monkeypatch, caplog, leaves_no_trace):
+        """Each process's records reach the caller's handlers, the same
+        records as a one-process run's; the fold lines come from the caller,
+        in fold order."""
+        real = experts_mod.fit
+
+        def fit(datasets):
+            logging.getLogger("gpde.experts").info("fit of N=%d", sum(d.n for d in datasets))
+            return real(datasets)
+
+        monkeypatch.setattr(experts_mod, "fit", fit)
+        caplog.set_level(logging.INFO)
+        spec, data = self.TARGETS_ONLY
+
+        def logged(cpus: int) -> list:
+            on_cpus(monkeypatch, cpus)
+            caplog.clear()
+            with warnings.catch_warnings(record=True):  # the tiny target fits warn
+                run_benchmark(spec, **data)
+            return [(r.name, r.getMessage(), r.process) for r in caplog.records]
+
+        split, alone = logged(3), logged(1)
+        assert len({pid for _, _, pid in split}) == 3
+        assert sorted(m for _, m, _ in split) == sorted(m for _, m, _ in alone)
+        folds = [(m, pid) for name, m, pid in split if name == "gpde.bench"]
+        assert [m[:6] for m, _ in folds] == ["fold 0", "fold 1", "fold 2"]
+        assert {pid for _, pid in folds} == {os.getpid()}
 
 
 def run_cli(*argv):
@@ -554,6 +746,15 @@ class TestCliErrors:
                                                      value):
         assert run_cli("synth", "--out", tmp_path / "corpus", flag, value) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
+    def test_bench_on_non_finite_data_is_an_error(self, tmp_path, capsys):
+        rows = [f"{0.1 * i},{-0.2 * i},{(-1) ** i}" for i in range(12)]
+        (tmp_path / "t.csv").write_text("\n".join(["f0,f1,y0", *rows]) + "\n")
+        rows[3] = "nan,0.5,1"
+        (tmp_path / "s.csv").write_text("\n".join(["f0,f1,y0", *rows]) + "\n")
+        assert run_cli("bench", "--source", tmp_path / "s.csv", "--target", tmp_path / "t.csv",
+                       "--folds", 2, "--nt", 2, "--methods", "gpde", "--metrics", "acc") == 2
+        assert "contains NaN/Inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bundle, domain, length_scale", [
         ([1, 2], {}, 1.0),

@@ -11,6 +11,7 @@ from gpde import (
     BenchmarkSpec,
     ConfigError,
     DataLoadError,
+    InvalidInputError,
     Dataset,
     ShiftConfig,
     config_hash,
@@ -312,6 +313,14 @@ class TestPca:
             pca_fit(rng.normal(size=(1, 3)))
         with pytest.raises(Exception):
             pca_fit(rng.normal(size=(5, 3)), energy=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects_non_finite(self, rng, value):
+        """A NaN or Inf entry is refused, not a raw LinAlgError from the SVD."""
+        X = rng.normal(size=(10, 3))
+        X[4, 1] = value
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            pca_fit(X)
 
 
 class TestShiftConfig:

@@ -360,12 +360,11 @@ class TestQueryShape:
         with pytest.raises(InvalidInputError, match="2-d array"):
             call(model, query)
 
-    PREDICTION = {k: call for k, call in CALLS.items() if k != "pca_apply"}
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("call", PREDICTION.values(), ids=PREDICTION.keys())
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
     def test_non_finite_rejected(self, rng, call, value):
-        """A NaN or Inf query entry is refused, not predicted as NaN with label -1."""
+        """A NaN or Inf query entry is refused, not predicted as NaN with
+        label -1 or projected to a row of NaN."""
         model = make_model(rng)
         query = rng.normal(size=(3, 2))
         query[1, 0] = value

@@ -1,18 +1,21 @@
 """Properties of trained models on random small problems: a saved and reloaded
 model predicts the same bits, a single query point gets the row it gets in a
 batch, adaptation is dense conditioning on source and target data and never
-raises a variance, fusion with one active expert returns that expert, and the
+raises a variance, the covariance it factorizes is exactly symmetric,
+fusion with one active expert returns that expert, and the
 marginal-likelihood gradient matches central differences.  Experts are built
 from drawn hyperparameters, with no fit.  The conditioning reference uses
 numpy alone, never ``gpde.adaptation`` or ``gpde.experts``."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpde.adaptation as adaptation
 from gpde import (AdaptedExpert, Dataset, GpdeModel, Hyperparams, expert_weights, fuse,
                   load_bundle, log_marginal_likelihood, posterior, predict, save_bundle,
                   train_expert)
@@ -121,6 +124,28 @@ def test_adaptation_is_union_conditioning(drawn):
                               np.vstack([source.data.Y, target.Y]), X, source.hyper)
         assert np.max(np.abs(pred.mean - mean)) < UNION_ATOL
         assert np.max(np.abs(pred.variance - var)) < UNION_ATOL
+
+
+@PROPERTY
+@given(models(near_duplicates=True))
+def test_adapted_prior_covariance_is_exactly_symmetric(drawn):
+    """The source-posterior covariance at the target rows that an adapted
+    expert factorizes is symmetric bit for bit, with no symmetrizing step:
+    ``K(X_t, X_t)`` is, and numpy forms ``v.T @ v`` by a symmetric rank-k
+    update."""
+    model, _ = drawn
+    factored = []
+    real = adaptation._factor
+
+    def spy(K, *args):
+        factored.append(K.copy())
+        return real(K, *args)
+
+    with mock.patch.object(adaptation, "_factor", spy):
+        for source in model.sources:
+            AdaptedExpert(source, model.target.data)
+    assert len(factored) == len(model.sources)
+    assert all(np.array_equal(K, K.T) for K in factored)
 
 
 @PROPERTY
