@@ -26,8 +26,9 @@ import numpy as np
 
 from . import __version__
 from .bench import METHODS, METRICS, BenchmarkSpec, run_benchmark, write_result_table
-from .data import (ShiftConfig, _write_csv, config_hash, load_dataset, load_features,
-                   load_shift_config, save_dataset, save_shift_config, synth_shift)
+from .data import (ShiftConfig, _rewrite, _write_csv, config_hash, load_dataset,
+                   load_features, load_shift_config, save_dataset, save_shift_config,
+                   synth_shift)
 from .exceptions import ConfigError, DataLoadError, GpdeError
 from .experts import MODES, GpdeModel, expert_weights, predict
 from .gp_core import fit
@@ -41,7 +42,7 @@ def _domain_id(path: str) -> str:
 
 
 def _out_stream(path: str | None):
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    return contextlib.nullcontext(sys.stdout) if path is None else _rewrite(path)
 
 
 def _split_list(tokens: list[str]) -> list[str]:

@@ -26,6 +26,8 @@ import hashlib
 import io
 import json
 import logging
+import os
+import stat
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from time import perf_counter
 from typing import NoReturn, get_type_hints
@@ -148,6 +150,27 @@ def load_features(path) -> np.ndarray:
     return _read_table(path, labeled=False)[0]
 
 
+@contextlib.contextmanager
+def _rewrite(path):
+    """Open ``path`` to write text with ``\\n`` line ends, as ``open(path, "w",
+    newline="")`` does but without truncating it to zero, and on leaving cut a
+    regular file at the position written to, also when the write raised.
+
+    The new bytes go over the old ones in place, so the file keeps its inode,
+    its mode and its links, and a device or FIFO is written as ``open`` writes
+    it.  Truncating a non-empty file to zero can block for tens of
+    milliseconds on ext4; overwriting in place does not.  Every file gpde
+    writes is written here.
+    """
+    with open(path, "w", newline="",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _write_csv(fh, header: list[str], formats: list[str], rows, comments=()) -> None:
     """Write ``# `` comment lines, the header (quoted as ``csv.writer`` quotes)
     and each row, its columns %-formatted by ``formats``, to ``fh`` in one
@@ -166,7 +189,7 @@ def _write_csv(fh, header: list[str], formats: list[str], rows, comments=()) -> 
 def save_dataset(path, data: Dataset, comments: list[str] | None = None) -> None:
     """Write a :class:`Dataset` using the CSV schema; ``repr`` floats round-trip exactly."""
     header = [f"f{i}" for i in range(data.dim)] + [f"y{i}" for i in range(data.n_outputs)]
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path) as fh:
         _write_csv(fh, header, ["%r"] * len(header), np.hstack([data.X, data.Y]).tolist(),
                    comments or ())
 
@@ -357,7 +380,7 @@ def synth_shift(cfg: ShiftConfig) -> tuple[list[Dataset], Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 
 def save_shift_config(path, cfg: ShiftConfig) -> None:
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         for f in fields(cfg):
             fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 

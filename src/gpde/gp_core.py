@@ -252,6 +252,9 @@ def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work) -> tuple[float, np
     ``work`` is a pair of C-ordered arrays of ``sq``'s shape, the caller's
     workspace, which receive K and L and are overwritten.
     """
+    ell_sq = h.length_scale**2
+    if ell_sq == 0.0:  # underflowed, so the kernel and d/dlog(ell) divide by zero
+        raise NumericalError(f"length_scale {h.length_scale!r} squared underflows to 0")
     n, c = Y.shape
     K_out, L_out = work
     K = _rbf(sq, h, out=K_out)
@@ -276,7 +279,7 @@ def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work) -> tuple[float, np
 
     g_sf = trace_term(K)
     K *= sq
-    g_ell = 0.5 * trace_term(K) / h.length_scale**2
+    g_ell = 0.5 * trace_term(K) / ell_sq
     g_sv = h.noise_std**2 * float(np.vdot(alpha, alpha) - c * np.sum(P_diag))
     return value, np.array([g_ell, g_sf, g_sv])
 

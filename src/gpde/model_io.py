@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .data import config_hash
+from .data import _rewrite, config_hash
 from .exceptions import DataLoadError, InvalidInputError
 from .experts import GpdeModel
 from .gp_core import Dataset, Expert, train_expert
@@ -39,7 +39,7 @@ HYPER_FIELDS = ("length_scale", "signal_std", "noise_std")
 def _write_json(path, payload: dict) -> None:
     # json.dumps runs the C encoder; json.dump always runs the Python one
     text = json.dumps({**payload, "config_hash": config_hash(payload)}, sort_keys=True)
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         fh.write(text + "\n")
 
 

@@ -134,6 +134,15 @@ class TestLogMarginalLikelihood:
         value, _ = log_marginal_likelihood(data, h)
         assert value == pytest.approx(expected, abs=1e-12)
 
+    def test_underflowed_length_scale_is_a_numerical_error(self, rng):
+        # length_scale**2 underflows to 0, where the kernel and d/dlog(ell)
+        # divide by zero: a typed error, which a fit's objective backs away from
+        h = Hyperparams(length_scale=1e-170, signal_std=1.0, noise_std=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="underflows to 0"):
+                log_marginal_likelihood(random_dataset(rng), h)
+
     def test_same_bits_where_the_kernel_underflows(self, monkeypatch):
         # The protocol corpus's pooled N=300 data at length-scale 0.1, where
         # K underflows (half its entries are 0, 1400 are subnormal): flushing
@@ -241,6 +250,17 @@ class TestFit:
             fit([data])
             fit([data])
         assert [str(w.message) for w in again] == [text, text]
+
+    def test_line_search_past_an_underflowing_length_scale(self):
+        # The protocol corpus at split seed 1836746045: a target fit's line
+        # search reaches a length-scale whose square underflows to 0, which
+        # used to end the whole run with a ZeroDivisionError.
+        sources, train, test = synth_shift(ShiftConfig(samples_per_domain=60))
+        pool = Dataset(np.vstack([train.X, test.X]), np.vstack([train.Y, test.Y]), "target_pool")
+        spec = BenchmarkSpec(folds=2, seed=1836746045, schedule=(10, 30, 50, 100))
+        result = run_benchmark(spec, source_datasets=sources, target_pool=pool)
+        assert len(result.rows) == len(spec.methods) * 4 * len(spec.metric_names) * 2
+        assert all(0.0 <= r.value <= 1.0 for r in result.rows)
 
     def test_optimizer_converged_fit_does_not_warn(self):
         # Fold 0's 10-row target fit on the benchmark's protocol corpus

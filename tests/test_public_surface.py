@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, every exported function
 is documented in the README, the README's method table names the benchmark
-methods, and removed names stay gone."""
+methods, removed names stay gone, and one writer writes every file."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -86,3 +87,41 @@ def test_cli_import_leaves_out_scipy_stats():
         [sys.executable, "-c", "import sys, gpde.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "False"
+
+
+class _OpenCalls(ast.NodeVisitor):
+    """The enclosing function of every call named ``open`` that may write: its
+    mode, the second argument or ``mode=``, is not a string literal free of
+    ``w``, ``a``, ``x`` and ``+``.  The flags of ``os.open`` are no literal
+    mode, so every ``os.open`` counts."""
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                self.found.append(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_every_file_is_written_by_one_writer():
+    """Only ``gpde.data._rewrite`` opens a file to write, so no second write
+    path, say one that truncates first, comes back."""
+    writers = set()
+    for path in sorted(Path(gpde.__file__).parent.glob("*.py")):
+        calls = _OpenCalls()
+        calls.visit(ast.parse(path.read_text(), filename=str(path)))
+        writers |= {(path.name, scope) for scope in calls.found}
+    assert writers == {("data.py", "_rewrite")}
