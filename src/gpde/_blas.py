@@ -1,5 +1,6 @@
 """Floating-point environment for gpde's small dense algebra: the OpenBLAS
-thread count, and flushing subnormals to zero during a fit.
+thread count, flushing subnormals to zero during a fit, and how many CPUs
+gpde's own work may keep busy.
 
 numpy and scipy each load their own OpenBLAS.  On the few-hundred-row
 matrices of a domain expert, waking a second BLAS thread costs more than the
@@ -23,6 +24,15 @@ subnormal.  Other Python threads, and OpenBLAS's own worker threads, keep
 their own MXCSR; a thread started inside the scope inherits it, as POSIX
 threads inherit the floating-point environment.  Off Linux x86-64, or where
 a self-check finds the bits have no effect, the scope does nothing.
+
+One rule says how many CPUs gpde's work in a process may use,
+:func:`usable_cpus`: the CPUs the process may run on
+(``os.sched_getaffinity``), or 1 where the platform cannot tell, or 1
+inside :func:`one_cpu`.  A fit runs its two L-BFGS-B starts on two Python
+threads only where more than one CPU is usable (and the fit is large
+enough, see ``gpde.gp_core.fit_detailed``), and ``run_benchmark``
+forks one process per usable CPU and runs its work inside ``one_cpu``, so
+its processes, which already fill every CPU, each fit on one thread.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ _SYMBOLS = [
 _lock = threading.Lock()
 _libs: list | None = None  # (file name, get, set) per library, found on first use
 _depth = 0  # open blas_threads entries, over all Python threads
+_one_cpu = 0  # open one_cpu entries, over all Python threads
 _saved: list[int] = []
 # (fegetenv, fesetenv) when flushing works on this machine, () when it does
 # not; looked up on first use
@@ -124,6 +135,30 @@ def blas_threads(n: int):
             if _depth == 0:
                 for (_, _, setter), count in zip(_libs, _saved):
                     setter(count)
+
+
+def usable_cpus() -> int:
+    """How many CPUs gpde's work in this process may keep busy: 1 inside
+    :func:`one_cpu` and where the platform cannot tell, else the CPUs the
+    process may run on."""
+    if _one_cpu or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def one_cpu():
+    """Run the body with :func:`usable_cpus` at 1, in this process and in
+    the processes it forks inside the body: for work that already fills
+    every CPU with processes.  Entries are counted across Python threads."""
+    global _one_cpu
+    with _lock:
+        _one_cpu += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _one_cpu -= 1
 
 
 def _set_flush_bits(fenv: tuple, bits: int) -> int:

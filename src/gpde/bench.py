@@ -19,9 +19,12 @@ each phase is split over this process and children forked with
 out longest first by the cube of their row counts, folds evenly.  Each
 child inherits its inputs and pickles back its results; its warnings and
 log records are issued in the caller and its exception is raised there.
-Every process runs the same code on one BLAS thread, so the rows come out
-with the bits of a run in one process; where ``os.fork`` is missing or one
-CPU is usable, everything runs in the calling process.
+Every process runs the same code on one BLAS thread, held once across
+both phases, and fits each hyperparameter fit's two starts in turn on one
+Python thread (:func:`gpde._blas.one_cpu`), as its processes already fill
+every CPU; so the rows come out with the bits of a run in one process.
+Where ``os.fork`` is missing or one CPU is usable, everything runs in the
+calling process.
 
 A source expert is conditioned on the target subset whenever the model has a
 target expert, so ``gpa`` is the adapted pooled expert alone: its zero beta
@@ -51,7 +54,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from ._blas import blas_threads
+from ._blas import blas_threads, one_cpu, usable_cpus
 from .data import ShiftConfig, _write_csv, config_hash, pca_apply, pca_fit, synth_shift
 from .exceptions import ConfigError, InvalidInputError
 from .experts import MODES, GpdeModel, fuse, hard_labels, predict, train_source_experts
@@ -280,16 +283,17 @@ def _in_processes(fn, items: list, costs: list[float]) -> list:
     share; a child's exception is raised here with its own type, its
     traceback as its cause.  Every child is reaped before this returns or
     raises, and killed first if its result is no longer wanted.  Everything
-    runs on one BLAS thread per process.
+    runs on one BLAS thread per process, and inside
+    :func:`gpde._blas.one_cpu`, so no fit in it starts a thread.
     """
     processes = 1  # where this platform cannot fork
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        processes = max(1, min(len(items), len(os.sched_getaffinity(0))))
+    if hasattr(os, "fork"):
+        processes = max(1, min(len(items), usable_cpus()))
     shares = _shares(costs, processes)
     results = [None] * len(items)
     children = []  # (pid, read end, share)
     try:
-        with blas_threads(1):
+        with blas_threads(1), one_cpu():
             for share in shares[1:]:
                 read_fd, write_fd = os.pipe()
                 pid = os.fork()
@@ -381,44 +385,47 @@ def run_benchmark(
     if needs_target:
         jobs.extend([Dataset(pool.X[:n_t], pool.Y[:n_t], domain_id="target_train")]
                     for _, pool, _ in folds for n_t in spec.schedule)
-    trained = iter(_in_processes(train_source_experts, jobs,
-                                 [sum(d.n ** 3 for d in job) for job in jobs]))
-    source_experts = [{None: [], **{kind: next(trained) for kind in kinds}}
-                      for _ in source_sets]
-    target_experts = [{n_t: next(trained)[0] if needs_target else None for n_t in spec.schedule}
-                      for _ in folds]
+    # one BLAS thread from the first fork to the last reap: restoring the
+    # caller's count between the phases would restart OpenBLAS's threads
+    with blas_threads(1):
+        trained = iter(_in_processes(train_source_experts, jobs,
+                                     [sum(d.n ** 3 for d in job) for job in jobs]))
+        source_experts = [{None: [], **{kind: next(trained) for kind in kinds}}
+                          for _ in source_sets]
+        target_experts = [{n_t: next(trained)[0] if needs_target else None for n_t in spec.schedule}
+                          for _ in folds]
 
-    # score: one item per fold
-    def score_fold(fold: int) -> list[BenchRow]:
-        source_set, _, test = folds[fold]
-        experts, rows, scores = source_experts[source_set], [], {}
-        for n_t in spec.schedule:
-            target_expert = target_experts[fold][n_t]
-            predictions = {}  # (kind, has target): one predict, fused per method's betas
-            for method in spec.methods:
-                kind, has_target, betas = _METHODS[method]
-                if method in scores and not has_target:  # ignores the target set
-                    continue
-                model = GpdeModel(experts[kind], target_expert if has_target else None,
-                                  betas, spec.mode)
-                if (kind, has_target) not in predictions:
-                    predictions[kind, has_target] = predict(model, test.X)
-                p = predictions[kind, has_target]
-                mean, _ = fuse(p.per_expert_means, p.per_expert_variances, model.betas)
-                scores[method] = _score(mean, hard_labels(mean, spec.mode), test, spec)
-            for method in spec.methods:
-                rows.extend(
-                    BenchRow(method, n_t, fold, metric, value)
-                    for metric, value in scores[method].items()
-                )
-        return rows
+        # score: one item per fold
+        def score_fold(fold: int) -> list[BenchRow]:
+            source_set, _, test = folds[fold]
+            experts, rows, scores = source_experts[source_set], [], {}
+            for n_t in spec.schedule:
+                target_expert = target_experts[fold][n_t]
+                predictions = {}  # (kind, has target): one predict, fused per method's betas
+                for method in spec.methods:
+                    kind, has_target, betas = _METHODS[method]
+                    if method in scores and not has_target:  # ignores the target set
+                        continue
+                    model = GpdeModel(experts[kind], target_expert if has_target else None,
+                                      betas, spec.mode)
+                    if (kind, has_target) not in predictions:
+                        predictions[kind, has_target] = predict(model, test.X)
+                    p = predictions[kind, has_target]
+                    mean, _ = fuse(p.per_expert_means, p.per_expert_variances, model.betas)
+                    scores[method] = _score(mean, hard_labels(mean, spec.mode), test, spec)
+                for method in spec.methods:
+                    rows.extend(
+                        BenchRow(method, n_t, fold, metric, value)
+                        for metric, value in scores[method].items()
+                    )
+            return rows
 
-    for fold, (source_set, pool, test) in enumerate(folds):
-        logger.info("fold %d: %d source domains, pool %d, test %d",
-                    fold, len(source_sets[source_set]), pool.n, test.n)
-    rows = [row for fold_rows in _in_processes(score_fold, list(range(spec.folds)),
-                                                [1] * spec.folds)
-            for row in fold_rows]
+        for fold, (source_set, pool, test) in enumerate(folds):
+            logger.info("fold %d: %d source domains, pool %d, test %d",
+                        fold, len(source_sets[source_set]), pool.n, test.n)
+        rows = [row for fold_rows in _in_processes(score_fold, list(range(spec.folds)),
+                                                    [1] * spec.folds)
+                for row in fold_rows]
     return BenchmarkResult(spec=spec, rows=rows, config_hash=hashed)
 
 

@@ -16,19 +16,24 @@ is finished with at most two capped Newton steps on the gradient, which
 pin well-posed fits to about 1e-14 whatever the thread count.
 
 A fit evaluates the objective some hundred times on matrices of one size,
-so it allocates one workspace, two N x N buffers for its largest domain,
-and every evaluation works in them: K is built in the first; K + noise^2 I
-is copied into the second and factorized there by ``dpotrf``, whose
-column-major view of that buffer is the matrix itself because K is
-symmetric bit for bit; ``dpotrs`` takes the label solve and ``dpotri``
-overwrites the factor with the inverse; K o sq replaces K once the signal
-gradient has read it.  These are the LAPACK calls scipy's ``cholesky``,
-``cho_solve`` and ``dpotri`` wrappers make, on the same numbers, so the
-bits are the same; only the fresh N x N arrays, and the page faults of
-mapping them, are gone.  The fit also runs with subnormals flushed to zero
-(:func:`gpde._blas.flush_subnormals`): at short length-scales the kernel
-underflows, and subnormal operands stall the factorizations, while terms
-that small never reach a rounded sum.
+so each start allocates one workspace, two N x N buffers for its largest
+domain, and every evaluation works in them: K is built in the first;
+K + noise^2 I is copied into the second and factorized there by
+``dpotrf``, whose column-major view of that buffer is the matrix itself
+because K is symmetric bit for bit; ``dpotrs`` takes the label solve and
+``dpotri`` overwrites the factor with the inverse; K o sq replaces K once
+the signal gradient has read it.  These are the LAPACK routines scipy's
+``cholesky``, ``cho_solve`` and ``dpotri`` wrappers call, on the same
+numbers, so the bits are the same; only the fresh N x N arrays, and the
+page faults of mapping them, are gone.  They are called through ctypes
+pointers from scipy's Cython LAPACK table (:func:`_lapack`), which release
+the GIL while LAPACK runs, so the two starts of a large enough fit run at
+once on two Python threads where two CPUs are usable, each in its own
+workspace (4 N^2 floats in all instead of 2), with the same bits as one
+after the other.  The fit also runs with subnormals flushed to zero
+(:func:`gpde._blas.flush_subnormals`), in the worker thread too: at short
+length-scales the kernel underflows, and subnormal operands stall the
+factorizations, while terms that small never reach a rounded sum.
 
 A trained :class:`Expert` caches the Cholesky factor of ``K + noise^2 I``
 and the solve against the label matrix, so prediction reduces to triangular
@@ -42,17 +47,19 @@ continuous GP draws).
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cython_lapack
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
-from ._blas import blas_threads, flush_subnormals
+from ._blas import blas_threads, flush_subnormals, usable_cpus
 from .exceptions import InvalidInputError, NumericalError
 from .kernel import Hyperparams, _as_matrix, _rbf, kernel_matrix, squared_distances
 
@@ -82,6 +89,10 @@ MAX_ITER = 200
 GRAD_TOL = 1e-5
 # Length-scale of the second start, relative to the first.
 SECOND_START_ELL = 0.25
+# The two starts run at once only when the largest domain has at least this
+# many rows: below it an evaluation is mostly Python, which holds the GIL,
+# and two threads took 1.05-1.7x the time of one (10-80 rows, 2 vCPUs).
+THREAD_MIN_ROWS = 100
 # Newton finish after L-BFGS-B: forward-difference step of the Jacobian of
 # the gradient (log-space), the largest step component it may take, and the
 # number of steps.  It polishes an optimum; it does not search for one.
@@ -92,6 +103,81 @@ NEWTON_STEPS = 2
 NEWTON_REL_DROP = 1e-12
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` from scipy's Cython LAPACK table, the routine
+    scipy's ``scipy.linalg.lapack`` wrappers call, as a ctypes function:
+    unlike those wrappers it releases the GIL while it runs."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_PTR = ctypes.c_void_p  # a double array, or one double
+# (uplo, n, a, lda, info) and (uplo, n, nrhs, a, lda, b, ldb, info)
+_dpotrf = _lapack("dpotrf", ctypes.c_char_p, _INT, _PTR, _INT, _INT)
+_dpotri = _lapack("dpotri", ctypes.c_char_p, _INT, _PTR, _INT, _INT)
+_dpotrs = _lapack("dpotrs", ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT)
+# (uplo, m, n, alpha, beta, a, lda)
+_dlaset = _lapack("dlaset", ctypes.c_char_p, _INT, _INT, _PTR, _PTR, _PTR, _INT)
+_ZERO = ctypes.byref(ctypes.c_double(0.0))  # only ever read
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the F-ordered array ``a``, taken from the buffer of
+    its C-ordered transpose (faster than ``a.ctypes.data``), which refuses
+    a read-only array."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a.T))
+
+
+def _matrix(a: np.ndarray) -> tuple[ctypes.c_int, int]:
+    """The order and the address of ``a``, checked to be a writable square
+    column-major float64 matrix, which LAPACK may read and write in place."""
+    if not (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1]
+            and a.flags.f_contiguous):
+        raise ValueError(f"need a square F-ordered float64 matrix, got {a.dtype} {a.shape}, "
+                         f"F-ordered {a.flags.f_contiguous}")
+    return ctypes.c_int(a.shape[0]), _address(a)
+
+
+def _potrf(a: np.ndarray) -> int:
+    """``dpotrf`` of ``a``'s lower triangle in place, then zeros above the
+    diagonal, as scipy's ``dpotrf(a, lower=1, clean=1)`` writes them;
+    returns LAPACK's ``info``, 0 when ``a`` was positive definite."""
+    (n, address), info = _matrix(a), ctypes.c_int()
+    _dpotrf(b"L", n, address, n, info)
+    if n.value > 1:  # the upper triangle of the (n-1) x (n-1) block from a[0, 1]
+        m = ctypes.c_int(n.value - 1)
+        _dlaset(b"U", m, m, _ZERO, _ZERO, address + a.itemsize * n.value, n)
+    return info.value
+
+
+def _potrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``(L L^T)^-1 B`` for a lower factor ``L`` from :func:`_potrf`, in a new
+    F-ordered array, as scipy's ``dpotrs(L, B, lower=1)`` returns it."""
+    n, address = _matrix(L)
+    X = np.array(B, dtype=np.float64, order="F")
+    if X.ndim != 2 or X.shape[0] != n.value:
+        raise ValueError(f"need a right-hand side of {n.value} rows, got shape {X.shape}")
+    info = ctypes.c_int()
+    _dpotrs(b"L", n, ctypes.c_int(X.shape[1]), address, n, _address(X), n, info)
+    if info.value != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info.value}")
+    return X
+
+
+def _potri(L: np.ndarray) -> int:
+    """``dpotri`` in place: the lower factor ``L`` becomes the lower triangle
+    of ``(L L^T)^-1``, and what is above the diagonal is left as it was;
+    returns LAPACK's ``info``, positive where ``L`` is singular."""
+    (n, address), info = _matrix(L), ctypes.c_int()
+    _dpotri(b"L", n, address, n, info)
+    return info.value
 
 
 @dataclass(frozen=True)
@@ -213,8 +299,7 @@ def cholesky_with_jitter(K: np.ndarray, shift: float = 0.0,
         A.flat[:: n + 1] += shift
         if jitter:
             A.flat[:: n + 1] += jitter
-        L, info = dpotrf(A.T, lower=1, overwrite_a=1)
-        return L if info == 0 else None
+        return A.T if _potrf(A.T) == 0 else None
 
     L = factor(0.0)
     if L is not None:
@@ -239,10 +324,7 @@ def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray, out: np.ndarray | No
     when given), the solve ``alpha`` of that matrix against ``Y``, and the
     jitter the factorization needed."""
     L, jitter = cholesky_with_jitter(K, noise_var, out)
-    alpha, info = dpotrs(L, Y, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs: illegal value in argument {-info}")
-    return L, alpha, jitter
+    return L, _potrs(L, Y), jitter
 
 
 def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work) -> tuple[float, np.ndarray]:
@@ -266,9 +348,10 @@ def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work) -> tuple[float, np
     # with dK/dlog(ell) = K o sq / ell^2, dK/dlog(sf) = 2K, dK/dlog(sv) = 2 sv^2 I.
     # dpotri writes Kn^-1 over L's lower triangle, and dpotrf left zeros above
     # it, so for a symmetric S, sum(Kn^-1 o S) = 2 sum(P o S) - sum(diag(P) diag(S)).
-    P, info = dpotri(L, lower=1, overwrite_c=1)
+    info = _potri(L)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
+    P = L
     P_diag = np.diagonal(P)
 
     def trace_term(S: np.ndarray) -> float:
@@ -351,70 +434,92 @@ def fit_detailed(datasets: list[Dataset]) -> FitResult:
     ``n_iter`` counts the iterations of both starts.  A single-element list
     is ordinary GP training.
 
-    Every evaluation works in one workspace of two N x N buffers, sized for
-    the largest domain and freed when the fit returns, and the fit runs
-    with subnormals flushed to zero in the calling thread (see the module
-    docstring); both leave every result bit for bit as it would be without
-    them.
+    The two starts run at once, start 1 on a worker thread, where more than
+    one CPU is usable (:func:`gpde._blas.usable_cpus`) and the largest
+    domain has at least ``THREAD_MIN_ROWS`` rows, so that the LAPACK calls,
+    which release the GIL, dominate an evaluation; otherwise one after the
+    other.  Each start works in its own workspace of two N x N
+    buffers, sized for the largest domain, allocated before the worker
+    starts and freed when the fit returns, so a fit on two threads holds
+    4 N^2 floats and one on one thread 2 N^2.  Both threads run on one BLAS
+    thread with subnormals flushed to zero (see the module docstring).  The
+    worker is joined before the fit returns or raises, and an exception
+    raised in it is raised again with its own type.  None of this changes
+    a result bit: each start's evaluations are the same calls on the same
+    numbers either way.  Every fit logs its record at DEBUG.
     """
     _check_domains(datasets)
+    threads = 2 if max(d.n for d in datasets) >= THREAD_MIN_ROWS and usable_cpus() > 1 else 1
     with blas_threads(1), flush_subnormals():
-        return _fit(datasets)
+        result = _fit(datasets, threads)
+    logger.debug("fit of domains %s (N=%d): %d iterations, %d evaluations, converged %s, "
+                 "max |gradient| %.3g, start %d won, %.3f s, starts on %d thread%s",
+                 [d.domain_id for d in datasets], sum(d.n for d in datasets), result.n_iter,
+                 result.n_eval, result.converged, result.grad_max, result.start,
+                 result.seconds, threads, "s" if threads > 1 else "")
+    return result
 
 
-def _fit(datasets: list[Dataset]) -> FitResult:
-    """:func:`fit_detailed` on validated inputs."""
+def _fit(datasets: list[Dataset], threads: int) -> FitResult:
+    """:func:`fit_detailed` on validated inputs, its starts on ``threads``
+    threads, 1 or 2."""
     t0 = time.perf_counter()
     h0 = _default_init(datasets)
-    # two buffers, each the size of the largest domain's K; every domain's
-    # K and L are C-ordered views of their leading entries
-    workspace = np.empty((2, max(d.n for d in datasets) ** 2))
-    parts = [(squared_distances(d.X), d.Y,
-              [buffer[: d.n * d.n].reshape(d.n, d.n) for buffer in workspace])
-             for d in datasets]
+    sqs = [squared_distances(d.X) for d in datasets]
+    # per start that runs at once, two buffers, each the size of the largest
+    # domain's K; every domain's K and L are C-ordered views of their leading
+    # entries
+    workspaces = np.empty((threads, 2, max(d.n for d in datasets) ** 2))
 
-    def objective(z: np.ndarray):
-        """Summed objective and gradient at ``z``."""
-        try:
-            h = Hyperparams.from_log(z)
-            total, grad = 0.0, np.zeros(3)
-            for sq, Y, work in parts:
-                value, g = _lml(sq, Y, h, work)
-                total += value
-                grad += g
-        except (NumericalError, InvalidInputError, OverflowError):
-            # overflow/underflow of exp(z) or signal_std**2, or a failed
-            # factorization: a point the line search must back away from
-            total, grad = -np.inf, np.zeros(3)
-        return total, grad
+    def objective_in(workspace: np.ndarray):
+        """The summed objective and gradient, evaluated in ``workspace``."""
+        parts = [(sq, d.Y, [buffer[: d.n * d.n].reshape(d.n, d.n) for buffer in workspace])
+                 for sq, d in zip(sqs, datasets)]
 
-    def ascend(z0: np.ndarray):
-        """One L-BFGS-B run from ``z0``: its result and its objective trace."""
-        trace: list[float] = []
+        def objective(z: np.ndarray):
+            """Summed objective and gradient at ``z``."""
+            try:
+                h = Hyperparams.from_log(z)
+                total, grad = 0.0, np.zeros(3)
+                for sq, Y, work in parts:
+                    value, g = _lml(sq, Y, h, work)
+                    total += value
+                    grad += g
+            except (NumericalError, InvalidInputError, OverflowError):
+                # overflow/underflow of exp(z) or signal_std**2, or a failed
+                # factorization: a point the line search must back away from
+                total, grad = -np.inf, np.zeros(3)
+            return total, grad
 
-        def negative(z: np.ndarray):
-            total, grad = objective(z)
-            if not trace:  # the optimizer's first evaluation is at z0
-                trace.append(total)
-            return -total, -grad
+        return objective
 
-        # ftol=0: stop on the gradient tolerance, not on a small relative decrease
-        res = minimize(negative, z0, jac=True, method="L-BFGS-B",
-                       callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
-                       options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 0.0})
-        return res, trace
-
+    objectives = [objective_in(workspace) for workspace in workspaces]
     z0 = h0.to_log()
-    best, trace = ascend(z0)
+    z1 = z0 + [np.log(SECOND_START_ELL), 0.0, 0.0]
+    worker, out = None, []  # out: start 1's (result, trace), or the exception it raised
+    if threads > 1:
+        worker = threading.Thread(target=_run_start, args=(objectives[1], z1, out),
+                                  name="gpde-fit-start-1")
+        worker.start()
+    try:
+        best, trace = _ascend(objectives[0], z0)
+    finally:
+        if worker is not None:
+            worker.join()
     if not np.isfinite(trace[0]):
         raise InvalidInputError(f"objective is non-finite at the initial hyperparameters {h0}")
-    second, second_trace = ascend(z0 + [np.log(SECOND_START_ELL), 0.0, 0.0])
+    if worker is None:
+        out.append(_ascend(objectives[0], z1))
+    elif isinstance(out[0], BaseException):
+        raise out[0]
+    second, second_trace = out[0]
     n_iter = best.nit + second.nit
     n_eval = best.nfev + second.nfev
     start = int(second.fun < best.fun)
     if start:
         best, trace = second, second_trace
-    z, value, grad, finish_evals = _newton_finish(objective, best.x, -float(best.fun), -best.jac)
+    z, value, grad, finish_evals = _newton_finish(objectives[0], best.x, -float(best.fun),
+                                                  -best.jac)
     return FitResult(
         hyper=Hyperparams.from_log(z),
         objective=value,
@@ -427,6 +532,35 @@ def _fit(datasets: list[Dataset]) -> FitResult:
         trace=trace,
         message=str(best.message),
     )
+
+
+def _ascend(objective, z0: np.ndarray):
+    """One L-BFGS-B run of ``objective`` from ``z0``: its result and its
+    objective trace."""
+    trace: list[float] = []
+
+    def negative(z: np.ndarray):
+        total, grad = objective(z)
+        if not trace:  # the optimizer's first evaluation is at z0
+            trace.append(total)
+        return -total, -grad
+
+    # ftol=0: stop on the gradient tolerance, not on a small relative decrease
+    res = minimize(negative, z0, jac=True, method="L-BFGS-B",
+                   callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
+                   options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 0.0})
+    return res, trace
+
+
+def _run_start(objective, z0: np.ndarray, out: list) -> None:
+    """:func:`_ascend` on a worker thread, which inherits the fitting
+    thread's flushed MXCSR (POSIX threads inherit the floating-point
+    environment); appends its result to ``out``, or the exception it
+    raised, for the fitting thread to raise again."""
+    try:
+        out.append(_ascend(objective, z0))
+    except BaseException as exc:  # noqa: BLE001  (raised again in the fitting thread)
+        out.append(exc)
 
 
 def _newton_finish(objective, z: np.ndarray, value: float, grad: np.ndarray):

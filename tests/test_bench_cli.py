@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -360,10 +361,11 @@ def float_environment():
 
 @pytest.fixture
 def leaves_no_trace():
-    """Fail if the test changes the float environment or leaves a child process."""
-    before = float_environment()
+    """Fail if the test changes the float environment, or leaves a Python
+    thread or a child process."""
+    before = float_environment(), threading.active_count()
     yield
-    assert float_environment() == before
+    assert (float_environment(), threading.active_count()) == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -474,6 +476,22 @@ class TestProcesses:
             first = len(caught)
             run_benchmark(spec, **data)
         assert 0 < first == len(caught)
+
+    def test_fits_start_no_thread(self, monkeypatch, tmp_path, leaves_no_trace):
+        """The run's processes fill every CPU, so no fit, in the caller or in
+        a child, runs its starts on two threads; alone, the same fits would."""
+        monkeypatch.setattr(gp_core, "THREAD_MIN_ROWS", 1)
+        started = CallLog(tmp_path / "threads.jsonl")
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(os.getpid()) or real_start(thread))
+        forks = on_cpus(monkeypatch, 3)
+        spec, data = self.CASES["synthetic"]
+        with warnings.catch_warnings(record=True):  # the tiny target fits warn
+            run_benchmark(spec, **data)
+        assert forks and started.read() == []
+        gpde.fit_detailed([TINY_TRAIN])
+        assert started.read() == [os.getpid()]
 
     def test_child_log_records_reach_the_caller(self, monkeypatch, caplog, leaves_no_trace):
         """Each process's records reach the caller's handlers, the same

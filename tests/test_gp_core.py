@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.stats import multivariate_normal
 
 from gpde import (
@@ -78,6 +79,42 @@ class TestCholeskyJitter:
         bad = np.diag([1.0, -5.0])
         with pytest.raises(NumericalError, match="jitter"):
             cholesky_with_jitter(bad)
+
+
+class TestLapackBinding:
+    """The GIL-free LAPACK calls give the bits of scipy's wrappers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 120])
+    def test_same_bits_as_scipy(self, n, rng):
+        X = rng.normal(size=(n, n + 3))
+        A = X @ X.T + 0.1 * np.eye(n)
+        L, info = dpotrf(A, lower=1)  # clean=1: zeros above the diagonal
+        ours = np.array(A, order="F")
+        assert gp_core._potrf(ours) == info == 0
+        assert np.array_equal(ours, L) and not np.any(np.triu(ours, 1))
+        B = rng.normal(size=(n, 3))
+        x, info = dpotrs(L, B, lower=1)
+        solved = gp_core._potrs(ours, B)
+        assert info == 0 and np.array_equal(solved, x)
+        assert solved.flags.f_contiguous and x.flags.f_contiguous
+        inverse, info = dpotri(L, lower=1)
+        assert gp_core._potri(ours) == info == 0
+        assert np.array_equal(np.tril(ours), np.tril(inverse))
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 120])
+    def test_same_info_where_not_positive_definite(self, n):
+        A = np.eye(n)
+        A[-1, -1] = -1.0
+        _, info = dpotrf(A, lower=1)
+        assert gp_core._potrf(np.array(A, order="F")) == info == n
+        singular = np.eye(n)
+        singular[0, 0] = 0.0
+        _, info = dpotri(singular, lower=1)
+        assert gp_core._potri(np.array(singular, order="F")) == info > 0
+
+    def test_refuses_a_row_major_matrix(self):
+        with pytest.raises(ValueError, match="F-ordered"):
+            gp_core._potrf(np.eye(3)[:, ::-1].copy())
 
 
 class TestLogMarginalLikelihood:
