@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gp_core import (Dataset, Expert, PosteriorPrediction, _as_queries, _check_domains,
-                      _factor, _posterior_with_solve, _solve_lower, posterior)
+                      _factor, _less_explained, _mean_and_solve, _solve_lower, posterior)
 from .kernel import kernel_matrix
 
 __all__ = ["AdaptedExpert", "adapted_posterior"]
@@ -60,20 +60,26 @@ class AdaptedExpert:
             prior_cov, source.hyper.noise_std**2, target.Y - prior_mean)
 
     def posterior(self, X_star, *, K_t_star: np.ndarray | None = None) -> PosteriorPrediction:
-        """Adapted predictive mean and variance at ``X_star`` (M x D)."""
+        """Adapted predictive mean and variance at ``X_star`` (M x D).
+
+        Beyond ``K_t_star``, the working set is one N_s x M and one N_t x M
+        buffer: the source solve ``v`` is squared in place once the
+        cross-covariance has read it, and the target solve ``u`` is formed and
+        squared in the cross-covariance's buffer, each in the plain
+        expression's order, so the bits are those of separate arrays.
+        """
         X_star = _as_queries(self.source, X_star)
-        base, v_star = _posterior_with_solve(self.source, X_star)
+        base_mean, v_star = _mean_and_solve(self.source, X_star)
         if K_t_star is None:
             K_t_star = kernel_matrix(self.target.X, X_star, h=self.source.hyper)
         # source-posterior covariance between target inputs and test points
         # (N_t x M), formed in the product's buffer
         cross = self._v_t.T @ v_star
         np.subtract(K_t_star, cross, out=cross)
-        mean = base.mean + cross.T @ self._correction
+        base_variance = _less_explained(self.source.hyper.signal_std**2, v_star)
+        mean = base_mean + cross.T @ self._correction
         u = _solve_lower(self._chol_t, cross)  # cross is consumed
-        variance = base.variance - np.sum(u * u, axis=0)
-        np.maximum(variance, 0.0, out=variance)
-        return PosteriorPrediction(mean=mean, variance=variance)
+        return PosteriorPrediction(mean=mean, variance=_less_explained(base_variance, u))
 
 
 def adapted_posterior(source: Expert, target: Dataset | None, X_star) -> PosteriorPrediction:

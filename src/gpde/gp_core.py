@@ -390,9 +390,9 @@ def _default_init(datasets: list[Dataset]) -> Hyperparams:
     if X.shape[0] > 1024:  # keep the heuristic O(1M) distances
         X = X[:: int(np.ceil(X.shape[0] / 1024))]
     if X.shape[0] > 1:
-        dists = np.sqrt(squared_distances(X))
-        positive = dists[np.triu_indices_from(dists, k=1)]
-        positive = positive[positive > 0]
+        upper = squared_distances(X)[~np.tri(len(X), dtype=bool)]  # i < j, row by row
+        np.sqrt(upper, out=upper)
+        positive = upper[upper > 0]
         ell = float(np.median(positive)) if positive.size else 1.0
     else:
         ell = 1.0
@@ -652,15 +652,20 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return dtrsm(1.0, L, B.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
 
 
-def _posterior_with_solve(e: Expert, X_star: np.ndarray):
-    """Posterior at checked test inputs plus the half-solve ``L^-1 K(X, X_star)``,
-    which adaptation reuses for its cross-covariance."""
+def _mean_and_solve(e: Expert, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean at checked test inputs plus the half-solve
+    ``v = L^-1 K(X, X_star)`` (N x M), formed in the kernel block's buffer."""
     K_star = kernel_matrix(e.data.X, X_star, h=e.hyper)  # N x M
     mean = K_star.T @ e.alpha
-    v = _solve_lower(e.chol, K_star)  # K_star is consumed
-    variance = e.hyper.signal_std**2 - np.sum(v * v, axis=0)
+    return mean, _solve_lower(e.chol, K_star)  # K_star is consumed
+
+
+def _less_explained(prior_variance, v: np.ndarray) -> np.ndarray:
+    """``prior_variance`` minus the column sums of ``v**2``, clamped at zero.
+    ``v`` is squared in place, so it is consumed."""
+    variance = prior_variance - np.sum(np.multiply(v, v, out=v), axis=0)
     np.maximum(variance, 0.0, out=variance)
-    return PosteriorPrediction(mean=mean, variance=variance), v
+    return variance
 
 
 def posterior(e: Expert, X_star) -> PosteriorPrediction:
@@ -668,6 +673,10 @@ def posterior(e: Expert, X_star) -> PosteriorPrediction:
 
     The mean is ``k_*^T (K + noise^2 I)^-1 Y``; the variance is the latent
     prior variance ``signal_std**2`` minus the explained part, computed via
-    triangular solves against the cached factor and clamped at zero.
+    triangular solves against the cached factor and clamped at zero.  The
+    N x M kernel block, its solve and the squares summed for the variance
+    share one buffer; each is the plain expression's operations in the same
+    order, so the bits are those of separate arrays.
     """
-    return _posterior_with_solve(e, _as_queries(e, X_star))[0]
+    mean, v = _mean_and_solve(e, _as_queries(e, X_star))
+    return PosteriorPrediction(mean=mean, variance=_less_explained(e.hyper.signal_std**2, v))

@@ -22,6 +22,9 @@ __all__ = [
     "kernel_matrix",
 ]
 
+# Entries of one row block of a cross-distance block: the one temporary it needs.
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -78,8 +81,12 @@ def squared_distances(X: np.ndarray, X_prime: np.ndarray | None = None) -> np.nd
 
     Uses the expansion ||x||^2 + ||x'||^2 - 2 x.x' and clamps tiny negative
     values produced by cancellation at zero.  When ``X_prime`` is omitted the
-    result is exactly symmetric with a zero diagonal.  The M x N work runs in
-    place on two buffers, in the order ``(|x|^2 + |x'|^2) - 2 (x . x')``.
+    result is exactly symmetric with a zero diagonal.  Every entry is formed
+    in the order ``(|x|^2 + |x'|^2) - 2 (x . x')``.  The self-distance work
+    runs in place on two N x N buffers; a cross block is formed in the one
+    buffer it is returned in, the norm sums added a row block of about
+    ``_BLOCK_ENTRIES`` entries at a time, with the same operations in the
+    same order and so the same bits.
     """
     X = _as_matrix(X, "X")
     self_mode = X_prime is None or X_prime is X
@@ -89,16 +96,24 @@ def squared_distances(X: np.ndarray, X_prime: np.ndarray | None = None) -> np.nd
             f"dimension mismatch: X has D={X.shape[1]}, X_prime has D={Xp.shape[1]}"
         )
     sq_x = np.sum(X * X, axis=1)
-    sq_xp = sq_x if self_mode else np.sum(Xp * Xp, axis=1)
-    sq = np.add.outer(sq_x, sq_xp)
-    gram = X @ Xp.T
+    if not self_mode:
+        sq_xp = np.sum(Xp * Xp, axis=1)
+        sq = X @ Xp.T
+        sq *= 2.0
+        step = max(1, _BLOCK_ENTRIES // max(1, len(Xp)))
+        for i in range(0, len(X), step):
+            block = sq[i:i + step]
+            np.subtract(np.add.outer(sq_x[i:i + step], sq_xp), block, out=block)
+            np.maximum(block, 0.0, out=block)
+        return sq
+    sq = np.add.outer(sq_x, sq_x)
+    gram = X @ X.T
     gram *= 2.0
     sq -= gram
     np.maximum(sq, 0.0, out=sq)
-    if self_mode:
-        sq = np.add(sq, sq.T, out=gram)
-        sq *= 0.5
-        np.fill_diagonal(sq, 0.0)
+    sq = np.add(sq, sq.T, out=gram)
+    sq *= 0.5
+    np.fill_diagonal(sq, 0.0)
     return sq
 
 
