@@ -283,8 +283,9 @@ def _in_processes(fn, items: list, costs: list[float]) -> list:
     share; a child's exception is raised here with its own type, its
     traceback as its cause.  Every child is reaped before this returns or
     raises, and killed first if its result is no longer wanted.  Everything
-    runs on one BLAS thread per process, and inside
-    :func:`gpde._blas.one_cpu`, so no fit in it starts a thread.
+    runs inside :func:`gpde._blas.one_cpu`, so no fit in it starts a thread,
+    and on one BLAS thread per process: the caller holds that scope, which
+    the children inherit.
     """
     processes = 1  # where this platform cannot fork
     if hasattr(os, "fork"):
@@ -293,7 +294,7 @@ def _in_processes(fn, items: list, costs: list[float]) -> list:
     results = [None] * len(items)
     children = []  # (pid, read end, share)
     try:
-        with blas_threads(1), one_cpu():
+        with one_cpu():
             for share in shares[1:]:
                 read_fd, write_fd = os.pipe()
                 pid = os.fork()

@@ -28,12 +28,13 @@ numbers, so the bits are the same; only the fresh N x N arrays, and the
 page faults of mapping them, are gone.  They are called through ctypes
 pointers from scipy's Cython LAPACK table (:func:`_lapack`), which release
 the GIL while LAPACK runs, so the two starts of a large enough fit run at
-once on two Python threads where two CPUs are usable, each in its own
-workspace (4 N^2 floats in all instead of 2), with the same bits as one
-after the other.  The fit also runs with subnormals flushed to zero
-(:func:`gpde._blas.flush_subnormals`), in the worker thread too: at short
-length-scales the kernel underflows, and subnormal operands stall the
-factorizations, while terms that small never reach a rounded sum.
+once where two CPUs are usable, the second as a future on a one-worker
+``ThreadPoolExecutor``, each in its own workspace (4 N^2 floats in all
+instead of 2), with the same bits as one after the other.  The fit also
+runs with subnormals flushed to zero (:func:`gpde._blas.flush_subnormals`),
+in the worker thread too: at short length-scales the kernel underflows,
+and subnormal operands stall the factorizations, while terms that small
+never reach a rounded sum.
 
 A trained :class:`Expert` caches the Cholesky factor of ``K + noise^2 I``
 and the solve against the label matrix, so prediction reduces to triangular
@@ -49,9 +50,9 @@ from __future__ import annotations
 
 import ctypes
 import logging
-import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -434,19 +435,21 @@ def fit_detailed(datasets: list[Dataset]) -> FitResult:
     ``n_iter`` counts the iterations of both starts.  A single-element list
     is ordinary GP training.
 
-    The two starts run at once, start 1 on a worker thread, where more than
-    one CPU is usable (:func:`gpde._blas.usable_cpus`) and the largest
-    domain has at least ``THREAD_MIN_ROWS`` rows, so that the LAPACK calls,
-    which release the GIL, dominate an evaluation; otherwise one after the
-    other.  Each start works in its own workspace of two N x N
-    buffers, sized for the largest domain, allocated before the worker
+    The two starts run at once, start 1 as a future on a one-worker
+    ``ThreadPoolExecutor``, where more than one CPU is usable
+    (:func:`gpde._blas.usable_cpus`) and the largest domain has at least
+    ``THREAD_MIN_ROWS`` rows, so that the LAPACK calls, which release the
+    GIL, dominate an evaluation; otherwise one after the other.  Leaving the
+    executor's ``with`` block joins the worker before the fit returns or
+    raises, and the future's ``result()`` raises an exception of the worker
+    again with its own type.  Each start works in its own workspace of two
+    N x N buffers, sized for the largest domain, allocated before the worker
     starts and freed when the fit returns, so a fit on two threads holds
     4 N^2 floats and one on one thread 2 N^2.  Both threads run on one BLAS
-    thread with subnormals flushed to zero (see the module docstring).  The
-    worker is joined before the fit returns or raises, and an exception
-    raised in it is raised again with its own type.  None of this changes
-    a result bit: each start's evaluations are the same calls on the same
-    numbers either way.  Every fit logs its record at DEBUG.
+    thread with subnormals flushed to zero (see the module docstring).  None
+    of this changes a result bit: each start's evaluations are the same
+    calls on the same numbers either way.  Every fit logs its record at
+    DEBUG.
     """
     _check_domains(datasets)
     threads = 2 if max(d.n for d in datasets) >= THREAD_MIN_ROWS and usable_cpus() > 1 else 1
@@ -496,23 +499,14 @@ def _fit(datasets: list[Dataset], threads: int) -> FitResult:
     objectives = [objective_in(workspace) for workspace in workspaces]
     z0 = h0.to_log()
     z1 = z0 + [np.log(SECOND_START_ELL), 0.0, 0.0]
-    worker, out = None, []  # out: start 1's (result, trace), or the exception it raised
-    if threads > 1:
-        worker = threading.Thread(target=_run_start, args=(objectives[1], z1, out),
-                                  name="gpde-fit-start-1")
-        worker.start()
-    try:
+    # the worker thread is started here, so it inherits this thread's flushed
+    # MXCSR (POSIX threads inherit the floating-point environment)
+    with ThreadPoolExecutor(1, thread_name_prefix="gpde-fit-start") as pool:
+        later = pool.submit(_ascend, objectives[1], z1) if threads > 1 else None
         best, trace = _ascend(objectives[0], z0)
-    finally:
-        if worker is not None:
-            worker.join()
     if not np.isfinite(trace[0]):
         raise InvalidInputError(f"objective is non-finite at the initial hyperparameters {h0}")
-    if worker is None:
-        out.append(_ascend(objectives[0], z1))
-    elif isinstance(out[0], BaseException):
-        raise out[0]
-    second, second_trace = out[0]
+    second, second_trace = later.result() if later else _ascend(objectives[0], z1)
     n_iter = best.nit + second.nit
     n_eval = best.nfev + second.nfev
     start = int(second.fun < best.fun)
@@ -550,17 +544,6 @@ def _ascend(objective, z0: np.ndarray):
                    callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
                    options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 0.0})
     return res, trace
-
-
-def _run_start(objective, z0: np.ndarray, out: list) -> None:
-    """:func:`_ascend` on a worker thread, which inherits the fitting
-    thread's flushed MXCSR (POSIX threads inherit the floating-point
-    environment); appends its result to ``out``, or the exception it
-    raised, for the fitting thread to raise again."""
-    try:
-        out.append(_ascend(objective, z0))
-    except BaseException as exc:  # noqa: BLE001  (raised again in the fitting thread)
-        out.append(exc)
 
 
 def _newton_finish(objective, z: np.ndarray, value: float, grad: np.ndarray):

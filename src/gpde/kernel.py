@@ -22,7 +22,7 @@ __all__ = [
     "kernel_matrix",
 ]
 
-# Entries of one row block of a cross-distance block: the one temporary it needs.
+# Entries of one row block of a distance matrix: the one temporary it needs.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -67,8 +67,9 @@ class Hyperparams:
 
 
 def _as_matrix(X, name: str) -> np.ndarray:
-    """``X`` as an M x D float matrix, a single row for a 1-d input."""
-    X = np.asarray(X, dtype=float)
+    """``X`` as a C-contiguous M x D float matrix, a single row for a 1-d
+    input; a C-contiguous float array is not copied."""
+    X = np.asarray(X, dtype=float, order="C")
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2:
@@ -79,41 +80,34 @@ def _as_matrix(X, name: str) -> np.ndarray:
 def squared_distances(X: np.ndarray, X_prime: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of X and X_prime.
 
-    Uses the expansion ||x||^2 + ||x'||^2 - 2 x.x' and clamps tiny negative
-    values produced by cancellation at zero.  When ``X_prime`` is omitted the
-    result is exactly symmetric with a zero diagonal.  Every entry is formed
-    in the order ``(|x|^2 + |x'|^2) - 2 (x . x')``.  The self-distance work
-    runs in place on two N x N buffers; a cross block is formed in the one
-    buffer it is returned in, the norm sums added a row block of about
-    ``_BLOCK_ENTRIES`` entries at a time, with the same operations in the
-    same order and so the same bits.
+    Every entry is formed as ``(|x|^2 + |x'|^2) - 2 (x . x')`` and clamped
+    at zero, as cancellation can leave it slightly negative: ``2 X X'^T`` is
+    formed in the one N x M buffer returned, and the norm sums are
+    subtracted from it a row block of about ``_BLOCK_ENTRIES`` entries, the
+    one temporary, at a time.  When ``X_prime`` is omitted or is ``X``
+    itself, the diagonal is then set to zero, and the result is exactly
+    symmetric: inputs are made C-contiguous, so ``X @ X^T`` is numpy's
+    symmetric rank-k update, which mirrors one triangle into the other, and
+    the norm sums commute.  No bit depends on the inputs' memory layout.
     """
-    X = _as_matrix(X, "X")
     self_mode = X_prime is None or X_prime is X
+    X = _as_matrix(X, "X")
     Xp = X if self_mode else _as_matrix(X_prime, "X_prime")
     if X.shape[1] != Xp.shape[1]:
         raise InvalidInputError(
             f"dimension mismatch: X has D={X.shape[1]}, X_prime has D={Xp.shape[1]}"
         )
     sq_x = np.sum(X * X, axis=1)
-    if not self_mode:
-        sq_xp = np.sum(Xp * Xp, axis=1)
-        sq = X @ Xp.T
-        sq *= 2.0
-        step = max(1, _BLOCK_ENTRIES // max(1, len(Xp)))
-        for i in range(0, len(X), step):
-            block = sq[i:i + step]
-            np.subtract(np.add.outer(sq_x[i:i + step], sq_xp), block, out=block)
-            np.maximum(block, 0.0, out=block)
-        return sq
-    sq = np.add.outer(sq_x, sq_x)
-    gram = X @ X.T
-    gram *= 2.0
-    sq -= gram
-    np.maximum(sq, 0.0, out=sq)
-    sq = np.add(sq, sq.T, out=gram)
-    sq *= 0.5
-    np.fill_diagonal(sq, 0.0)
+    sq_xp = sq_x if self_mode else np.sum(Xp * Xp, axis=1)
+    sq = X @ Xp.T
+    sq *= 2.0
+    step = max(1, _BLOCK_ENTRIES // max(1, len(Xp)))
+    for i in range(0, len(X), step):
+        block = sq[i:i + step]
+        np.subtract(np.add.outer(sq_x[i:i + step], sq_xp), block, out=block)
+        np.maximum(block, 0.0, out=block)
+    if self_mode:
+        np.fill_diagonal(sq, 0.0)
     return sq
 
 

@@ -3,7 +3,7 @@
 Each test compares the library with plain whole-array expressions, each of
 which allocates its result, with ``==``: the in-place code runs the same
 operations in the same order, so it gives the same bits.  The allocation
-guards bound what the buffer reuse saves.
+guards bound what the buffer reuse saves, also for self-distances.
 """
 
 import tracemalloc
@@ -179,9 +179,17 @@ class TestAllocations:
         peak = traced_peak(lambda: adapted.posterior(queries, K_t_star=K_t_star))
         assert peak < 8 * ((n_s + n_t) * m + _BLOCK_ENTRIES)
 
+    def test_self_distances_hold_one_matrix(self, rng):
+        # The N x N result plus one row block of norm sums: no second N x N
+        # buffer to average the matrix with its transpose.
+        n = 1024
+        X = rng.normal(size=(n, 5))
+        assert traced_peak(lambda: squared_distances(X)) < 9 * n**2
+
     def test_default_init_builds_no_index_arrays(self, rng):
-        # The self-distance path's two N x N buffers and one N x N boolean
-        # mask; two int64 index arrays of the triangle would add 8 N^2 bytes.
+        # The distance matrix, one N x N boolean mask and the N(N-1)/2
+        # distances of its strict upper triangle; two int64 index arrays of
+        # the triangle would add 8 N^2 bytes.
         n = 1024
         data = Dataset(rng.normal(size=(n, 5)), np.ones((n, 1)), "d")
-        assert traced_peak(lambda: _default_init([data])) < (2 * 8 + 1) * n**2
+        assert traced_peak(lambda: _default_init([data])) < 14 * n**2

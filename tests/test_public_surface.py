@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, every exported function
 is documented in the README, the README's method table names the benchmark
-methods, removed names stay gone, and one writer writes every file."""
+methods, removed names stay gone, one writer writes every file, and no
+module starts a thread of its own."""
 
 import ast
 import dataclasses
@@ -125,3 +126,17 @@ def test_every_file_is_written_by_one_writer():
         calls.visit(ast.parse(path.read_text(), filename=str(path)))
         writers |= {(path.name, scope) for scope in calls.found}
     assert writers == {("data.py", "_rewrite")}
+
+
+def test_no_module_constructs_a_thread():
+    """A fit's second start runs as a future on a ``ThreadPoolExecutor``, which
+    joins its worker and raises the worker's exception again, so no
+    hand-rolled ``threading.Thread`` and result list come back."""
+    built = set()
+    for path in sorted(Path(gpde.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Thread":
+                    built.add((path.name, node.lineno))
+    assert not built
