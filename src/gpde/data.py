@@ -58,6 +58,10 @@ logger = logging.getLogger(__name__)
 
 _ALLOWED_LABELS = (-1.0, 0.0, 1.0)
 _N_FOURIER_FEATURES = 128
+# ShiftConfig's counts, and the float64 entries numpy can size in one array
+_COUNTS = ("n_source_domains", "samples_per_domain", "n_target_train", "n_target_test",
+           "dims", "n_outputs")
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 _MAX_REGEN_ATTEMPTS = 50
 _WARP_RATE = 0.45  # roughness growth of the latent label function beyond the core
 _WARP_RADIUS = 2.5  # radius of the stationary core (covers the target region)
@@ -275,7 +279,7 @@ class ShiftConfig:
     def __post_init__(self):
         if self.n_source_domains < 0:
             raise ConfigError("n_source_domains must be >= 0")
-        for name in ("samples_per_domain", "n_target_train", "n_target_test", "dims", "n_outputs"):
+        for name in _COUNTS[1:]:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0 <= self.shift_magnitude < np.inf:  # also false for NaN
@@ -288,6 +292,18 @@ class ShiftConfig:
             raise ConfigError("multiclass mode needs n_outputs >= 2")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # every count, and the largest float64 array synth_shift draws from
+        # it (rows x dims, n_outputs or Fourier features, Fourier features x
+        # dims or n_outputs, dims x dims), must be one numpy can size
+        width = max(self.dims, self.n_outputs, _N_FOURIER_FEATURES)
+        entries = {"n_source_domains": self.n_source_domains,
+                   "dims": self.dims * max(self.dims, _N_FOURIER_FEATURES),
+                   "n_outputs": self.n_outputs * _N_FOURIER_FEATURES,
+                   **{name: getattr(self, name) * width for name in _COUNTS[1:4]}}
+        for name, size in entries.items():
+            if size > _MAX_ENTRIES:
+                raise ConfigError(f"{name} = {getattr(self, name)} is too large: numpy cannot size "
+                                  f"an array of {size} float64 entries (at most {_MAX_ENTRIES})")
 
 
 def _latent_label_fn(cfg: ShiftConfig):

@@ -25,16 +25,19 @@ because K is symmetric bit for bit; ``dpotrs`` takes the label solve and
 the signal gradient has read it.  These are the LAPACK routines scipy's
 ``cholesky``, ``cho_solve`` and ``dpotri`` wrappers call, on the same
 numbers, so the bits are the same; only the fresh N x N arrays, and the
-page faults of mapping them, are gone.  They are called through ctypes
-pointers from scipy's Cython LAPACK table (:func:`_lapack`), which release
-the GIL while LAPACK runs, so the two starts of a large enough fit run at
-once where two CPUs are usable, the second as a future on a one-worker
-``ThreadPoolExecutor``, each in its own workspace (4 N^2 floats in all
-instead of 2), with the same bits as one after the other.  The fit also
-runs with subnormals flushed to zero (:func:`gpde._blas.flush_subnormals`),
-in the worker thread too: at short length-scales the kernel underflows,
-and subnormal operands stall the factorizations, while terms that small
-never reach a rounded sum.
+page faults of mapping them, are gone.  The O(N^3) ones, ``dpotrf`` and
+``dpotri`` (with the ``dlaset`` that clears above the factor), are called
+through ctypes pointers from scipy's Cython LAPACK table (:func:`_lapack`),
+which release the GIL while LAPACK runs, so the two starts of a large
+enough fit run at once where two CPUs are usable, the second as a future
+on a one-worker ``ThreadPoolExecutor``, each in its own workspace (4 N^2
+floats in all instead of 2), with the same bits as one after the other.
+The O(N^2) solves, ``dpotrs`` and prediction's ``dtrsm``, hold the GIL only
+briefly and go through scipy's wrappers, which cost less per call.  The
+fit also runs with subnormals flushed to zero
+(:func:`gpde._blas.flush_subnormals`), in the worker thread too: at short
+length-scales the kernel underflows, and subnormal operands stall the
+factorizations, while terms that small never reach a rounded sum.
 
 A trained :class:`Expert` caches the Cholesky factor of ``K + noise^2 I``
 and the solve against the label matrix, so prediction reduces to triangular
@@ -58,6 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cython_lapack
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import minimize
 
 from ._blas import blas_threads, flush_subnormals, usable_cpus
@@ -120,30 +124,24 @@ def _lapack(name: str, *argtypes):
 
 _INT = ctypes.POINTER(ctypes.c_int)
 _PTR = ctypes.c_void_p  # a double array, or one double
-# (uplo, n, a, lda, info) and (uplo, n, nrhs, a, lda, b, ldb, info)
+# (uplo, n, a, lda, info)
 _dpotrf = _lapack("dpotrf", ctypes.c_char_p, _INT, _PTR, _INT, _INT)
 _dpotri = _lapack("dpotri", ctypes.c_char_p, _INT, _PTR, _INT, _INT)
-_dpotrs = _lapack("dpotrs", ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT)
 # (uplo, m, n, alpha, beta, a, lda)
 _dlaset = _lapack("dlaset", ctypes.c_char_p, _INT, _INT, _PTR, _PTR, _PTR, _INT)
 _ZERO = ctypes.byref(ctypes.c_double(0.0))  # only ever read
 
 
-def _address(a: np.ndarray) -> int:
-    """The address of the F-ordered array ``a``, taken from the buffer of
-    its C-ordered transpose (faster than ``a.ctypes.data``), which refuses
-    a read-only array."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a.T))
-
-
 def _matrix(a: np.ndarray) -> tuple[ctypes.c_int, int]:
     """The order and the address of ``a``, checked to be a writable square
-    column-major float64 matrix, which LAPACK may read and write in place."""
+    column-major float64 matrix, which LAPACK may read and write in place.
+    The address is taken from the buffer of ``a``'s C-ordered transpose
+    (faster than ``a.ctypes.data``), which refuses a read-only array."""
     if not (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1]
             and a.flags.f_contiguous):
         raise ValueError(f"need a square F-ordered float64 matrix, got {a.dtype} {a.shape}, "
                          f"F-ordered {a.flags.f_contiguous}")
-    return ctypes.c_int(a.shape[0]), _address(a)
+    return ctypes.c_int(a.shape[0]), ctypes.addressof(ctypes.c_char.from_buffer(a.T))
 
 
 def _potrf(a: np.ndarray) -> int:
@@ -156,20 +154,6 @@ def _potrf(a: np.ndarray) -> int:
         m = ctypes.c_int(n.value - 1)
         _dlaset(b"U", m, m, _ZERO, _ZERO, address + a.itemsize * n.value, n)
     return info.value
-
-
-def _potrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``(L L^T)^-1 B`` for a lower factor ``L`` from :func:`_potrf`, in a new
-    F-ordered array, as scipy's ``dpotrs(L, B, lower=1)`` returns it."""
-    n, address = _matrix(L)
-    X = np.array(B, dtype=np.float64, order="F")
-    if X.ndim != 2 or X.shape[0] != n.value:
-        raise ValueError(f"need a right-hand side of {n.value} rows, got shape {X.shape}")
-    info = ctypes.c_int()
-    _dpotrs(b"L", n, ctypes.c_int(X.shape[1]), address, n, _address(X), n, info)
-    if info.value != 0:
-        raise ValueError(f"dpotrs: illegal value in argument {-info.value}")
-    return X
 
 
 def _potri(L: np.ndarray) -> int:
@@ -277,55 +261,49 @@ class FitResult:
     message: str = ""
 
 
-def cholesky_with_jitter(K: np.ndarray, shift: float = 0.0,
-                         out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``K + shift I`` for a PSD ``K`` that is
-    symmetric bit for bit, escalating jitter on failure.
+def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray, out: np.ndarray | None = None):
+    """Lower Cholesky factor ``L`` of ``K + noise_var I`` for a PSD ``K``
+    that is symmetric bit for bit, the solve ``alpha`` of that matrix
+    against ``Y``, and the jitter the factorization needed.
 
     ``K`` is left as it is.  The factor is formed in ``out``, a C-ordered
     array of ``K``'s shape that it overwrites, or else in a new array, and
-    returned as its column-major view.  Jitter starts at
-    ``JITTER_START * mean(diag)`` of ``K + shift I`` and grows by factors of
-    ``JITTER_GROWTH`` up to ``JITTER_MAX * mean(diag)``; beyond that a
-    :class:`NumericalError` reports the attempted range.
+    returned as its column-major view.  If ``K + noise_var I`` is not
+    positive definite, jitter starts at ``JITTER_START * mean(diag)`` of it
+    and grows by factors of ``JITTER_GROWTH`` up to
+    ``JITTER_MAX * mean(diag)``; beyond that a :class:`NumericalError`
+    reports the attempted range.  ``alpha`` is scipy's ``dpotrs`` of ``L``
+    against an F-ordered copy of ``Y``, a new array.
     """
     n = K.shape[0]
     A = np.empty((n, n)) if out is None else out
+    L = A.T  # column-major, so LAPACK works in place; as K is symmetric, the same matrix
 
-    def factor(jitter: float) -> np.ndarray | None:
-        """dpotrf of ``K + shift I + jitter I`` in ``A``, or None if not PD.
-        ``A.T`` is column-major, so LAPACK works in place; as K is
-        symmetric, it is the same matrix."""
+    def factored(jitter: float) -> bool:
+        """Whether dpotrf of ``K + noise_var I + jitter I`` in ``A`` succeeded."""
         np.copyto(A, K)
-        A.flat[:: n + 1] += shift
+        A.flat[:: n + 1] += noise_var
         if jitter:
             A.flat[:: n + 1] += jitter
-        return A.T if _potrf(A.T) == 0 else None
+        return _potrf(L) == 0
 
-    L = factor(0.0)
-    if L is not None:
-        return L, 0.0
-    diag_mean = float(np.mean(np.diagonal(K) + shift))
-    scale = diag_mean if diag_mean > 0 else 1.0
-    jitter = JITTER_START * scale
-    while jitter <= JITTER_MAX * scale:
-        L = factor(jitter)
-        if L is not None:
-            logger.debug("Cholesky needed jitter %.3e (relative %.1e)", jitter, jitter / scale)
-            return L, jitter
-        jitter *= JITTER_GROWTH
-    raise NumericalError(
-        "Cholesky failed after escalating jitter up to "
-        f"{JITTER_MAX * scale:.3e} ({JITTER_START:.0e}..{JITTER_MAX:.0e} x mean diagonal)"
-    )
-
-
-def _factor(K: np.ndarray, noise_var: float, Y: np.ndarray, out: np.ndarray | None = None):
-    """Lower Cholesky factor ``L`` of ``K + noise_var I`` (formed in ``out``
-    when given), the solve ``alpha`` of that matrix against ``Y``, and the
-    jitter the factorization needed."""
-    L, jitter = cholesky_with_jitter(K, noise_var, out)
-    return L, _potrs(L, Y), jitter
+    jitter = 0.0
+    if not factored(jitter):
+        diag_mean = float(np.mean(np.diagonal(K) + noise_var))
+        scale = diag_mean if diag_mean > 0 else 1.0
+        jitter = JITTER_START * scale
+        while not factored(jitter):
+            jitter *= JITTER_GROWTH
+            if jitter > JITTER_MAX * scale:
+                raise NumericalError(
+                    "Cholesky failed after escalating jitter up to "
+                    f"{JITTER_MAX * scale:.3e} "
+                    f"({JITTER_START:.0e}..{JITTER_MAX:.0e} x mean diagonal)")
+        logger.debug("Cholesky needed jitter %.3e (relative %.1e)", jitter, jitter / scale)
+    alpha, info = dpotrs(L, Y, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return L, alpha, jitter
 
 
 def _lml(sq: np.ndarray, Y: np.ndarray, h: Hyperparams, work) -> tuple[float, np.ndarray]:
@@ -438,18 +416,19 @@ def fit_detailed(datasets: list[Dataset]) -> FitResult:
     The two starts run at once, start 1 as a future on a one-worker
     ``ThreadPoolExecutor``, where more than one CPU is usable
     (:func:`gpde._blas.usable_cpus`) and the largest domain has at least
-    ``THREAD_MIN_ROWS`` rows, so that the LAPACK calls, which release the
-    GIL, dominate an evaluation; otherwise one after the other.  Leaving the
-    executor's ``with`` block joins the worker before the fit returns or
-    raises, and the future's ``result()`` raises an exception of the worker
-    again with its own type.  Each start works in its own workspace of two
-    N x N buffers, sized for the largest domain, allocated before the worker
-    starts and freed when the fit returns, so a fit on two threads holds
-    4 N^2 floats and one on one thread 2 N^2.  Both threads run on one BLAS
-    thread with subnormals flushed to zero (see the module docstring).  None
-    of this changes a result bit: each start's evaluations are the same
-    calls on the same numbers either way.  Every fit logs its record at
-    DEBUG.
+    ``THREAD_MIN_ROWS`` rows, so that the O(N^3) LAPACK calls, ``dpotrf``
+    and ``dpotri``, which release the GIL, dominate an evaluation (the label
+    solve, ``dpotrs``, holds it for O(N^2) work); otherwise one after the
+    other.  Leaving the executor's ``with`` block joins the worker before
+    the fit returns or raises, and the future's ``result()`` raises an
+    exception of the worker again with its own type.  Each start works in
+    its own workspace of two N x N buffers, sized for the largest domain,
+    allocated before the worker starts and freed when the fit returns, so a
+    fit on two threads holds 4 N^2 floats and one on one thread 2 N^2.  Both
+    threads run on one BLAS thread with subnormals flushed to zero (see the
+    module docstring).  None of this changes a result bit: each start's
+    evaluations are the same calls on the same numbers either way.  Every
+    fit logs its record at DEBUG.
     """
     _check_domains(datasets)
     threads = 2 if max(d.n for d in datasets) >= THREAD_MIN_ROWS and usable_cpus() > 1 else 1

@@ -765,6 +765,13 @@ class TestCliErrors:
         assert run_cli("synth", "--out", tmp_path / "corpus", flag, value) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
 
+    @pytest.mark.parametrize("flag, field", [("--samples", "samples_per_domain"),
+                                             ("--domains", "n_source_domains")])
+    def test_count_numpy_cannot_size_is_config_error(self, tmp_path, capsys, flag, field):
+        assert run_cli("synth", "--out", tmp_path / "corpus", flag, 99999999999999999999) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} = 99999999999999999999 ")
+        assert not (tmp_path / "corpus").exists()
+
     def test_bench_on_non_finite_data_is_an_error(self, tmp_path, capsys):
         rows = [f"{0.1 * i},{-0.2 * i},{(-1) ** i}" for i in range(12)]
         (tmp_path / "t.csv").write_text("\n".join(["f0,f1,y0", *rows]) + "\n")

@@ -342,6 +342,34 @@ class TestShiftConfig:
         with pytest.raises(ConfigError, match="seed"):
             ShiftConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_source_domains", "samples_per_domain", "n_target_train",
+                                       "n_target_test", "dims", "n_outputs"])
+    def test_count_numpy_cannot_size_is_refused(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} = 99999999999999999999 is too large: "
+                                              "numpy cannot size"):
+            ShiftConfig(**{field: 99999999999999999999})
+
+    @pytest.mark.parametrize("values, field", [
+        # each count fits, but one array synth_shift draws from them does not
+        (dict(samples_per_domain=2**41, dims=2**20), "samples_per_domain"),
+        (dict(n_target_train=2**40, n_outputs=2**30), "n_target_train"),
+        (dict(n_target_test=2**58), "n_target_test"),  # n_target_test x 128 Fourier features
+        (dict(samples_per_domain=1, n_target_train=1, n_target_test=1, n_outputs=2**57),
+         "n_outputs"),  # 128 Fourier features x n_outputs
+        (dict(samples_per_domain=1, n_target_train=1, n_target_test=1, dims=2**31), "dims"),
+    ])
+    def test_array_numpy_cannot_size_is_refused(self, values, field):
+        with pytest.raises(ConfigError, match=f"^{field} = {values[field]} is too large"):
+            ShiftConfig(**values)
+
+    def test_largest_sizable_arrays_are_accepted(self):
+        most = np.iinfo(np.intp).max // 8  # float64 entries in one array
+        ShiftConfig(n_source_domains=most)
+        ShiftConfig(samples_per_domain=most // 128)
+        ShiftConfig(samples_per_domain=1, n_target_train=1, n_target_test=1, dims=2**29)
+        ShiftConfig(samples_per_domain=1, n_target_train=1, n_target_test=1,
+                    n_outputs=most // 128)
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = ShiftConfig(n_source_domains=2, seed=9, shift_magnitude=1.25)
         path = tmp_path / "cfg.txt"

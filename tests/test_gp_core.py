@@ -28,7 +28,7 @@ from gpde import (
 )
 import gpde.gp_core as gp_core
 from gpde import _blas
-from gpde.gp_core import _default_init, cholesky_with_jitter
+from gpde.gp_core import _default_init, _factor
 from gpde.kernel import squared_distances
 
 from conftest import protocol_pooled_source, random_dataset, random_hyper
@@ -62,23 +62,28 @@ class TestDataset:
 
 
 class TestCholeskyJitter:
+    """``_factor``'s jitter ladder, and its solve against the labels."""
+
     def test_clean_matrix_needs_no_jitter(self, rng):
         A = rng.normal(size=(6, 6))
         spd = A @ A.T + 6 * np.eye(6)
-        L, jitter = cholesky_with_jitter(spd)
+        Y = rng.normal(size=(6, 2))
+        L, alpha, jitter = _factor(spd, 0.0, Y)
         assert jitter == 0.0
         assert np.allclose(L @ L.T, spd, atol=1e-10)
+        assert np.allclose(spd @ alpha, Y, atol=1e-10)
 
     def test_singular_matrix_gets_jitter(self):
         ones = np.ones((4, 4))  # rank one, singular
-        L, jitter = cholesky_with_jitter(ones)
+        L, alpha, jitter = _factor(ones, 0.0, np.ones((4, 1)))
         assert jitter > 0.0
         assert np.allclose(L @ L.T, ones + jitter * np.eye(4), atol=1e-8)
+        assert np.allclose((ones + jitter * np.eye(4)) @ alpha, 1.0, atol=1e-6)
 
     def test_indefinite_matrix_raises_with_jitter_info(self):
         bad = np.diag([1.0, -5.0])
         with pytest.raises(NumericalError, match="jitter"):
-            cholesky_with_jitter(bad)
+            _factor(bad, 0.0, np.ones((2, 1)))
 
 
 class TestLapackBinding:
@@ -92,11 +97,12 @@ class TestLapackBinding:
         ours = np.array(A, order="F")
         assert gp_core._potrf(ours) == info == 0
         assert np.array_equal(ours, L) and not np.any(np.triu(ours, 1))
-        B = rng.normal(size=(n, 3))
-        x, info = dpotrs(L, B, lower=1)
-        solved = gp_core._potrs(ours, B)
-        assert info == 0 and np.array_equal(solved, x)
-        assert solved.flags.f_contiguous and x.flags.f_contiguous
+        for c in (1, 3):
+            B = rng.normal(size=(n, c))
+            x, info = dpotrs(L, B, lower=1)
+            factor, alpha, jitter = _factor(A, 0.0, B)
+            assert info == 0 and jitter == 0.0 and np.array_equal(factor, L)
+            assert np.array_equal(alpha, x) and alpha.flags.f_contiguous
         inverse, info = dpotri(L, lower=1)
         assert gp_core._potri(ours) == info == 0
         assert np.array_equal(np.tril(ours), np.tril(inverse))
@@ -337,16 +343,16 @@ class TestFit:
         # Each evaluation takes the value and the gradient from one
         # factorization, and no point is evaluated twice.
         seen, repeats = set(), []
-        real = gp_core.cholesky_with_jitter
+        real = gp_core._factor
 
-        def recording(K, shift=0.0, out=None):
-            key = (K.shape, K.tobytes(), shift)  # the matrix K + shift I
+        def recording(K, noise_var, Y, out=None):
+            key = (K.shape, K.tobytes(), noise_var)  # the matrix K + noise_var I
             if key in seen:
                 repeats.append(K.shape)
             seen.add(key)
-            return real(K, shift, out)
+            return real(K, noise_var, Y, out)
 
-        monkeypatch.setattr(gp_core, "cholesky_with_jitter", recording)
+        monkeypatch.setattr(gp_core, "_factor", recording)
         datasets = [random_dataset(rng, n=12, d=2, c=1, domain_id="a"),
                     random_dataset(rng, n=9, d=2, c=1, domain_id="b")]
         res = fit_detailed(datasets)

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, every exported function
 is documented in the README, the README's method table names the benchmark
-methods, removed names stay gone, one writer writes every file, and no
-module starts a thread of its own."""
+methods, removed names stay gone, one writer writes every file, no module
+starts a thread of its own, and ctypes binds only the LAPACK routines a fit
+must run without the GIL."""
 
 import ast
 import dataclasses
@@ -26,7 +27,8 @@ REMOVED = {
     "gpde.kernel": ["kernel_eval"],
     "gpde.experts": ["retarget", "uniform_betas"],
     "gpde.model_io": ["load_expert_pool"],
-    "gpde.gp_core": ["default_init", "_lml_value", "_lml_grad"],
+    "gpde.gp_core": ["default_init", "_lml_value", "_lml_grad", "_potrs", "_dpotrs",
+                     "cholesky_with_jitter", "_address"],
     "gpde.data": ["latent_label_fn"],
     "gpde.bench": ["_TARGET_METHODS", "_POOLED_METHODS", "_score_methods", "_SourceSide",
                    "_to_classes"],
@@ -140,3 +142,15 @@ def test_no_module_constructs_a_thread():
                 if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Thread":
                     built.add((path.name, node.lineno))
     assert not built
+
+
+def test_ctypes_binds_only_the_gil_free_lapack_set():
+    """``gp_core`` binds through ctypes only the O(N^3) routines a two-thread
+    fit runs without the GIL, and the ``dlaset`` that cleans ``dpotrf``'s
+    factor; the O(N^2) solves go through scipy's wrappers, which cost less
+    per call."""
+    path = Path(gpde.__file__).parent / "gp_core.py"
+    bound = [node.args[0].value for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_lapack"]
+    assert sorted(bound) == ["dlaset", "dpotrf", "dpotri"]
